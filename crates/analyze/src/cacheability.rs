@@ -2,11 +2,11 @@
 //! explanations, provenance preservation on cacheable spines, and
 //! zone-map conjunct detection for scan predicates.
 //!
-//! [`explain_cacheability`] mirrors the executor's private admission
-//! function (`cacheable_shape` in `snowprune-exec`) decision-for-decision
-//! — the executor debug-asserts agreement on every query it runs, so the
-//! two cannot drift silently — and additionally records *why* each plan
-//! is or isn't eligible, which surfaces through `ExecReport`.
+//! [`explain_cacheability`] *is* the predicate cache's admission decision:
+//! the executor consults the cache for exactly the plans whose
+//! [`CacheReport::shape`] is `Some`, recording against the table and
+//! ordering column the shape names. The report additionally records *why*
+//! each plan is or isn't eligible, which surfaces through `ExecReport`.
 
 use snowprune_expr::Expr;
 use snowprune_plan::{detect_topk, Plan, TopKShape};

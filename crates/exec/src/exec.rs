@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use snowprune_analyze::CacheShape;
 use snowprune_cache::{CacheEntry, CacheLookup, CacheStats, EntryKind, PredicateCache, ShapeKey};
 use snowprune_core::filter::FilterPruner;
 use snowprune_core::join::{prune_probe_side, BloomFilter, JoinSummary};
@@ -32,17 +33,15 @@ use snowprune_core::limit::{prune_for_limit, LimitOutcome};
 use snowprune_core::topk::{initial_boundary, order_scan_set, Boundary, TopKHeap, TopKScanStats};
 use snowprune_core::QueryPruningReport;
 use snowprune_plan::{
-    detect_topk, fingerprint, limit_pushdown, predicate_column_names, shape_signature,
+    detect_topk, fingerprint, limit_pushdown, predicate_column_names, shape_signature, AggFunc,
     FingerprintMode, JoinType, LimitPushdown, Plan, SortKey, TopKShape, TopKSpec,
 };
 use snowprune_storage::{Catalog, IoSnapshot, IoStats, PartitionId, PartitionMeta, Schema, Table};
 use snowprune_types::{Error, Result, Value};
 
-use snowprune_plan::AggFunc;
-
 use crate::agg::{aggregate_rows, DistinctKeyTopK};
 use crate::config::{ExecConfig, PredicateCacheMode};
-use crate::pool::{MorselPool, QueryId, ScanJobSpec, ScanTicket};
+use crate::pool::{MorselDoneFn, MorselPool, PartitionSink, QueryId, ScanJobSpec, StopFn};
 use crate::rows::RowSet;
 use crate::scan::{stream_scan, CompiledScan, ScanHooks, ScanRunStats};
 use crate::vector::{Batch, BatchAggregator, BatchChain, JoinBuild};
@@ -71,8 +70,8 @@ pub struct ExecReport {
     pub pruned_by_cache: u64,
     /// Structured cache-shape eligibility explanation from the static
     /// analyzer: why this plan is or isn't predicate-cacheable (§8.2).
-    /// Computed on every run, whether or not a cache is attached; the
-    /// executor debug-asserts it agrees with its own admission decision.
+    /// Computed on every run, whether or not a cache is attached; its
+    /// `shape` *is* the executor's admission decision.
     pub cacheability: Option<snowprune_analyze::CacheReport>,
 }
 
@@ -107,7 +106,7 @@ pub struct QueryOutput {
 }
 
 #[derive(Default)]
-struct RunState {
+pub(crate) struct RunState {
     report: ExecReport,
     limit_override: Option<LimitOverride>,
     /// This query's FIFO lane on the shared morsel pool.
@@ -138,19 +137,20 @@ struct CacheRun {
     record: Option<CacheRecorder>,
 }
 
-/// What the cache entry under construction caches.
-enum RecordKind {
-    Filter,
-    TopK { order_column: String },
-}
+/// The §8.2 filter recorder's survivor set, handed to the scans of its
+/// target table: partitions that emitted at least one selected row (pooled
+/// scan workers insert concurrently). `None` when nothing records.
+type Survivors = Option<Arc<Mutex<HashSet<PartitionId>>>>;
 
 /// Collects a query's contributing partitions while it executes.
 struct CacheRecorder {
-    kind: RecordKind,
+    /// What the entry under construction caches.
+    kind: EntryKind,
     /// Column names referenced by the plan's predicates (UPDATE rules).
     predicate_columns: Vec<String>,
     /// Version of the table snapshot the recorded partitions refer to;
-    /// captured when the target scan compiles. `None` aborts recording.
+    /// pinned by `prepare_scan` when the target scan compiles. `None`
+    /// aborts recording.
     snapshot_version: Option<u64>,
     /// Other tables this query scanned (join build/probe sides), with the
     /// versions it saw. Recorded as auxiliary dependencies on the entry:
@@ -162,8 +162,7 @@ struct CacheRecorder {
     /// within one query (concurrent DML mid-run): the recording is not a
     /// consistent snapshot and must be discarded.
     aux_poisoned: bool,
-    /// Filter shape: partitions that emitted at least one selected row
-    /// (pooled scan workers insert concurrently).
+    /// Filter shape: see [`Survivors`].
     survivors: Arc<Mutex<HashSet<PartitionId>>>,
     /// TopK shape, set by `exec_topk` at heap drain: the source partition
     /// of every heap survivor plus of every row tied with the final
@@ -173,7 +172,7 @@ struct CacheRecorder {
 
 impl CacheRecorder {
     fn is_topk(&self) -> bool {
-        matches!(self.kind, RecordKind::TopK { .. })
+        matches!(self.kind, EntryKind::TopK { .. })
     }
 
     /// Assemble the finished entry; `None` when recording never completed
@@ -200,16 +199,9 @@ impl CacheRecorder {
             return None;
         }
         let table_version = snapshot_version?;
-        let (kind, mut partitions) = match kind {
-            RecordKind::Filter => {
-                let parts: Vec<PartitionId> =
-                    std::mem::take(&mut *survivors.lock()).into_iter().collect();
-                (EntryKind::Filter, parts)
-            }
-            RecordKind::TopK { order_column } => {
-                let parts: Vec<PartitionId> = topk?.into_iter().collect::<Option<_>>()?;
-                (EntryKind::TopK { order_column }, parts)
-            }
+        let mut partitions: Vec<PartitionId> = match kind {
+            EntryKind::Filter => std::mem::take(&mut *survivors.lock()).into_iter().collect(),
+            EntryKind::TopK { .. } => topk?.into_iter().collect::<Option<_>>()?,
         };
         partitions.sort_unstable();
         partitions.dedup();
@@ -228,60 +220,6 @@ impl CacheRecorder {
             aux_tables: aux,
         })
     }
-}
-
-/// Which §8.2 shape a plan caches as: a top-k above a (filtered) scan —
-/// including through a join, now that joined rows carry the spine side's
-/// partition provenance — a filtered aggregation over one scan, or a plain
-/// filter chain over one scan. LIMIT-without-ORDER-BY shapes and top-k
-/// over GROUP BY are not cached: their contributing sets are either
-/// timing-dependent (early stop) or not partition-attributable
-/// (distinct-key filtering drops rows before the heap sees them).
-fn cacheable_shape(plan: &Plan, topk_enabled: bool) -> Option<(String, RecordKind)> {
-    if let Some(spec) = detect_topk(plan) {
-        // Only the heap execution path records survivor provenance.
-        if !topk_enabled {
-            return None;
-        }
-        let provenance_exact = match spec.shape {
-            TopKShape::AboveScan => true,
-            // Joined rows carry the target-side partition per row, so the
-            // heap records an exact contributor set — provided the target
-            // table is scanned exactly once in the plan (a self-join's
-            // second scan would be wrongly restricted on replay). The
-            // other side's tables become auxiliary dependencies.
-            TopKShape::JoinProbeSide | TopKShape::OuterJoinBuildSide => {
-                count_scans_of(plan, &spec.target_table) == 1
-            }
-            TopKShape::AboveAggregation => false,
-        };
-        if provenance_exact {
-            return Some((
-                spec.target_table,
-                RecordKind::TopK {
-                    order_column: spec.order_column,
-                },
-            ));
-        }
-        return None;
-    }
-    // Filtered aggregation over one scan: the aggregate folds exactly the
-    // chain's output rows, so the scan's filter survivors are a sound (and
-    // exact) replay set for the whole aggregation.
-    if let Plan::Aggregate { input, .. } = plan {
-        if let Some((_, table, predicate)) = split_chain(input) {
-            if predicate.is_some() {
-                return Some((table.to_owned(), RecordKind::Filter));
-            }
-        }
-        return None;
-    }
-    if let Some((_, table, predicate)) = split_chain(plan) {
-        if predicate.is_some() {
-            return Some((table.to_owned(), RecordKind::Filter));
-        }
-    }
-    None
 }
 
 /// The pruning-aware query executor.
@@ -382,34 +320,16 @@ impl Executor {
         } else {
             snowprune_analyze::explain_cacheability(plan, self.cfg.enable_topk_pruning)
         };
-        // Keep the analyzer's public explanation and the executor's private
-        // admission decision from drifting: every debug-mode run checks
-        // they agree on both eligibility and the target table/shape.
-        #[cfg(debug_assertions)]
-        {
-            let mirror = cacheable_shape(plan, self.cfg.enable_topk_pruning)
-                .map(|(t, k)| (t, matches!(k, RecordKind::TopK { .. })));
-            let analyzed = cacheability.shape.as_ref().map(|s| match s {
-                snowprune_analyze::CacheShape::TopK { table, .. } => (table.clone(), true),
-                snowprune_analyze::CacheShape::Filter { table } => (table.clone(), false),
-            });
-            debug_assert_eq!(
-                analyzed, mirror,
-                "static analyzer cacheability explanation drifted from the \
-                 executor's cacheable_shape: {:?}",
-                cacheability.reasons
-            );
-        }
         let io_before = self.io.snapshot();
         let start = Instant::now();
         let mut st = RunState {
             lane: self.pool.as_ref().map_or(0, |p| p.next_lane()),
             ..RunState::default()
         };
-        st.report.cacheability = Some(cacheability);
-        if let Some(cache) = &self.cache {
-            st.cache = self.consult_cache(plan, cache, &mut st.report);
+        if let (Some(cache), Some(shape)) = (&self.cache, &cacheability.shape) {
+            st.cache = self.consult_cache(plan, shape, cache, &mut st.report);
         }
+        st.report.cacheability = Some(cacheability);
         let topk = detect_topk(plan);
         st.report.pruning.topk_eligible = topk.is_some();
         st.report.pruning.limit_eligible =
@@ -442,8 +362,9 @@ impl Executor {
         })
     }
 
-    /// Fingerprint a cacheable plan and look it up, arming either the
-    /// scan-set restriction (exact or shape hit) or a recorder (miss). In
+    /// Fingerprint a plan the analyzer found cacheable as `cache_shape` and
+    /// look it up, arming either the scan-set restriction (exact or shape hit)
+    /// or a recorder (miss). In
     /// [`PredicateCacheMode::Shape`], shape-eligible plans additionally
     /// carry their literal-abstracted signature: a miss on the exact
     /// fingerprint falls back to any same-shape entry whose recorded
@@ -452,10 +373,22 @@ impl Executor {
     fn consult_cache(
         &self,
         plan: &Plan,
+        cache_shape: &CacheShape,
         cache: &Arc<Mutex<PredicateCache>>,
         report: &mut ExecReport,
     ) -> Option<CacheRun> {
-        let (table, kind) = cacheable_shape(plan, self.cfg.enable_topk_pruning)?;
+        let (table, kind) = match cache_shape {
+            CacheShape::Filter { table } => (table.clone(), EntryKind::Filter),
+            CacheShape::TopK {
+                table,
+                order_column,
+            } => (
+                table.clone(),
+                EntryKind::TopK {
+                    order_column: order_column.clone(),
+                },
+            ),
+        };
         let live_version = self.catalog.get(&table).ok()?.read().version();
         let fp = fingerprint(plan, FingerprintMode::Exact);
         let shape = (self.cfg.predicate_cache_mode == PredicateCacheMode::Shape)
@@ -584,20 +517,7 @@ impl Executor {
                     table, predicates, ..
                 } => {
                     let conj = predicates.into_iter().reduce(|a, b| a.and(b));
-                    let handle = self.catalog.get(&table)?;
-                    let snapshot = Arc::new(handle.read().clone());
-                    let mut scan = CompiledScan::compile(
-                        &table,
-                        snapshot,
-                        conj.as_ref(),
-                        true,
-                        &self.cfg.filter,
-                        &self.io,
-                        &self.cfg.io_cost,
-                    )?;
-                    st.report.pruning.partitions_total += scan.partitions_total as u64;
-                    st.report.pruning.pruned_by_filter += scan.pruned_by_filter;
-                    st.report.pruning.fully_matching += scan.fully_matching;
+                    let mut scan = self.compile_scan(&table, conj.as_ref(), true, st)?;
                     let res = prune_for_limit(&scan.scan_set, k + offset);
                     st.report.limit_outcome = Some(res.outcome);
                     st.report.pruning.pruned_by_limit +=
@@ -632,87 +552,56 @@ impl Executor {
     /// Stream a Filter*/Project* chain over a scan, stopping once `need`
     /// rows are produced ("most systems halt query processing when the
     /// LIMIT has been reached"). Returns `None` for non-streamable plans.
+    ///
+    /// Pooled morsels race to fill the limit — pre-assigned partitions
+    /// still model the §4.4 catch (n workers read at least n partitions
+    /// even if 1 would do) — but [`Delivery::Ordered`] reassembles rows in
+    /// morsel order and stops on the deterministic prefix, so the
+    /// truncated result is byte-identical to the sequential scan no matter
+    /// how morsels interleave; only the I/O overshoot is timing-dependent,
+    /// exactly as in a real warehouse.
     fn try_stream_limited(
         &self,
         plan: &Plan,
         need: usize,
         st: &mut RunState,
     ) -> Result<Option<RowSet>> {
-        let Some((chain, table, predicate)) = split_chain(plan) else {
+        let Some(cs) = self.prepare_chain(plan, None, None, st)? else {
             return Ok(None);
         };
-        let scan = self.prepare_scan(table, predicate, st)?;
-        let schema = plan.schema()?;
-        let bound_chain = bind_chain(&chain, &scan.schema)?;
-        if let Some(pool) = &self.pool {
-            // Pooled morsels race to fill the limit — pre-assigned
-            // partitions still model the §4.4 catch (n workers read at
-            // least n partitions even if 1 would do). Row output is
-            // reassembled in morsel order and truncated at the
-            // deterministic prefix, so the result is byte-identical to the
-            // sequential scan no matter how morsels interleave; only the
-            // I/O overshoot is timing-dependent, exactly as in a real
-            // warehouse.
-            let pool = Arc::clone(pool);
-            let (stats, mut out) =
-                self.run_pooled_scan(&pool, st.lane, &scan, bound_chain, Some(need), None);
-            st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-            st.report.scan_stats.merge(&stats);
-            out.truncate(need);
-            return Ok(Some(RowSet { schema, rows: out }));
-        }
         let mut out = Vec::with_capacity(need.min(4096));
-        let runtime_pruner = self.runtime_pruner_for(&scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary: None,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        let stats = stream_scan(&scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            let mut sel = batch.sel.clone();
-            bound_chain.refine(&batch.part, &mut sel);
-            for i in sel.iter() {
-                if out.len() >= need {
-                    break;
-                }
-                out.push(bound_chain.materialize(&batch.part, i));
-            }
-            if out.len() >= need {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-        st.report.scan_stats.merge(&stats);
+        self.drive_scan(
+            &cs.scan,
+            st,
+            None,
+            Delivery::Ordered { need: Some(need) },
+            rows_map(cs.chain, cs.survivors),
+            |(_, chunk)| out.extend(chunk),
+        );
         out.truncate(need);
-        Ok(Some(RowSet { schema, rows: out }))
+        Ok(Some(RowSet {
+            schema: plan.schema()?,
+            rows: out,
+        }))
     }
 
     // ---- scans ----------------------------------------------------------
 
-    /// Compile (or fetch the LIMIT-pruned override for) a scan, recording
-    /// report counters exactly once.
-    fn prepare_scan(
+    /// Snapshot `table` and compile a scan of it, adding the compile-time
+    /// pruning counters to the report.
+    fn compile_scan(
         &self,
         table: &str,
         predicate: Option<&snowprune_expr::Expr>,
+        filter_pruning: bool,
         st: &mut RunState,
     ) -> Result<CompiledScan> {
-        if let Some(ov) = &st.limit_override {
-            if ov.table == table {
-                // Counted when the override was created.
-                return Ok(ov.scan.clone());
-            }
-        }
-        let handle = self.catalog.get(table)?;
-        let snapshot = Arc::new(handle.read().clone());
-        let mut scan = CompiledScan::compile(
+        let snapshot = Arc::new(self.catalog.get(table)?.read().clone());
+        let scan = CompiledScan::compile(
             table,
             snapshot,
             predicate,
-            self.cfg.enable_filter_pruning,
+            filter_pruning,
             &self.cfg.filter,
             &self.io,
             &self.cfg.io_cost,
@@ -720,37 +609,69 @@ impl Executor {
         st.report.pruning.partitions_total += scan.partitions_total as u64;
         st.report.pruning.pruned_by_filter += scan.pruned_by_filter;
         st.report.pruning.fully_matching += scan.fully_matching;
-        // Auxiliary-dependency recording: while a recorder is armed, any
-        // scan of a table *other than* the record target (a join's other
-        // side) pins that table's version on the entry. Seeing the same
-        // auxiliary table at two versions within one query means a DML
-        // landed mid-run — the recording is inconsistent and is poisoned.
-        if let Some(cr) = &mut st.cache {
+        Ok(scan)
+    }
+
+    /// Compile (or fetch the LIMIT-pruned override for) a scan, recording
+    /// report counters exactly once, and apply this query's predicate-cache
+    /// context to it: restrict a hit's target scan, and on a miss pin the
+    /// recorder to the target's snapshot (or note another table as an
+    /// auxiliary dependency). The returned [`Survivors`] are armed when the
+    /// scan is a filter-shape record target; every caller hands them to
+    /// the scan's worker map.
+    fn prepare_scan(
+        &self,
+        table: &str,
+        predicate: Option<&snowprune_expr::Expr>,
+        st: &mut RunState,
+    ) -> Result<(CompiledScan, Survivors)> {
+        if let Some(ov) = &st.limit_override {
+            if ov.table == table {
+                // Counted when the override was created.
+                return Ok((ov.scan.clone(), None));
+            }
+        }
+        let mut scan = self.compile_scan(table, predicate, self.cfg.enable_filter_pruning, st)?;
+        let Some(cr) = &mut st.cache else {
+            return Ok((scan, None));
+        };
+        let version = scan.table.version();
+        if cr.table != table {
+            // Auxiliary-dependency recording: while a recorder is armed, any
+            // scan of a table *other than* the record target (a join's other
+            // side) pins that table's version on the entry. Seeing the same
+            // auxiliary table at two versions within one query means a DML
+            // landed mid-run — the recording is inconsistent and is poisoned.
             if let Some(rec) = &mut cr.record {
-                if cr.table != table {
-                    let v = scan.table.version();
-                    match rec.aux.iter().find(|(t, _)| t == table) {
-                        Some((_, seen)) if *seen != v => rec.aux_poisoned = true,
-                        Some(_) => {}
-                        None => rec.aux.push((table.to_owned(), v)),
-                    }
+                match rec.aux.iter().find(|(t, _)| t == table) {
+                    Some((_, seen)) if *seen != version => rec.aux_poisoned = true,
+                    Some(_) => {}
+                    None => rec.aux.push((table.to_owned(), version)),
                 }
             }
+            return Ok((scan, None));
         }
         // Cache hit: restrict the scan set to the cached contributors
         // before any morsel is generated — but only if the snapshot still
         // matches the version the lookup validated against (a concurrent
         // DML in between would make the restriction under-scan).
-        if let Some(cr) = &st.cache {
-            if let Some((parts, expected_version)) = &cr.restrict {
-                if cr.table == table && scan.table.version() == *expected_version {
-                    let before = scan.scan_set.len();
-                    scan.scan_set.entries.retain(|e| parts.contains(&e.id));
-                    st.report.pruned_by_cache += (before - scan.scan_set.len()) as u64;
-                }
+        if let Some((parts, expected_version)) = &cr.restrict {
+            if version == *expected_version {
+                let before = scan.scan_set.len();
+                scan.scan_set.entries.retain(|e| parts.contains(&e.id));
+                st.report.pruned_by_cache += (before - scan.scan_set.len()) as u64;
             }
         }
-        Ok(scan)
+        // Cache miss: pin the snapshot version the recorded partitions
+        // refer to. A filter-shape recorder remembers every partition that
+        // emits at least one selected row ("partitions containing rows
+        // matching a filter predicate", §8.2); a top-k recorder reads its
+        // partitions off the heap instead.
+        let survivors = cr.record.as_mut().and_then(|rec| {
+            rec.snapshot_version = Some(version);
+            (!rec.is_topk()).then(|| Arc::clone(&rec.survivors))
+        });
+        Ok((scan, survivors))
     }
 
     fn runtime_pruner_for(&self, scan: &CompiledScan) -> Option<FilterPruner> {
@@ -768,160 +689,103 @@ impl Executor {
         predicate: Option<&snowprune_expr::Expr>,
         st: &mut RunState,
     ) -> Result<RowSet> {
-        let scan = self.prepare_scan(table, predicate, st)?;
-        let schema = scan.schema.clone();
-        // Filter-shape cache recording: remember every partition that
-        // emits at least one selected row ("partitions containing rows
-        // matching a filter predicate", §8.2).
-        let survivors = match &mut st.cache {
-            Some(cr) if cr.table == table => match &mut cr.record {
-                Some(rec) if !rec.is_topk() => {
-                    rec.snapshot_version = Some(scan.table.version());
-                    Some(Arc::clone(&rec.survivors))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(pool) = &self.pool {
-            let pool = Arc::clone(pool);
-            let chain = BatchChain::identity(schema.len());
-            let (stats, rows) = self.run_pooled_scan(&pool, st.lane, &scan, chain, None, survivors);
-            st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-            st.report.scan_stats.merge(&stats);
-            return Ok(RowSet { schema, rows });
-        }
+        let (scan, survivors) = self.prepare_scan(table, predicate, st)?;
         let mut rows = Vec::new();
-        let runtime_pruner = self.runtime_pruner_for(&scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary: None,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        let stats = stream_scan(&scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            if !batch.is_empty() {
-                if let Some(s) = &survivors {
-                    s.lock().insert(batch.part.meta.id);
-                }
-            }
-            rows.extend(batch.sel.iter().map(|i| batch.part.row(i)));
-            ControlFlow::Continue(())
-        });
-        st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-        st.report.scan_stats.merge(&stats);
-        Ok(RowSet { schema, rows })
+        self.drive_scan(
+            &scan,
+            st,
+            None,
+            Delivery::Ordered { need: None },
+            rows_map(BatchChain::identity(scan.schema.len()), survivors),
+            |(_, mut chunk)| rows.append(&mut chunk),
+        );
+        Ok(RowSet {
+            schema: scan.schema,
+            rows,
+        })
     }
 
-    /// Run a scan as pooled morsels, applying `chain` worker-side and
-    /// collecting rows per morsel so the returned vector is in exact
-    /// scan-set order no matter which worker ran which morsel. With
-    /// `need = Some(k)`, a [`LimitTracker`] arms the deterministic
-    /// prefix-based early stop; with `None` the scan always runs to
-    /// completion.
-    fn run_pooled_scan(
-        &self,
-        pool: &Arc<MorselPool>,
-        lane: QueryId,
-        scan: &CompiledScan,
-        chain: BatchChain,
-        need: Option<usize>,
-        survivors: Option<Arc<Mutex<HashSet<PartitionId>>>>,
-    ) -> (ScanRunStats, Vec<Vec<Value>>) {
-        let morsels = scan
-            .scan_set
-            .len()
-            .div_ceil(self.cfg.morsel_partitions.max(1));
-        let slots: Arc<Vec<Mutex<Vec<Vec<Value>>>>> =
-            Arc::new((0..morsels).map(|_| Mutex::new(Vec::new())).collect());
-        let tracker = need.map(|_| Arc::new(LimitTracker::new(morsels)));
-        let sink_slots = Arc::clone(&slots);
-        let sink_tracker = tracker.clone();
-        let sink: Box<crate::pool::PartitionSink> = Box::new(move |mi, batch| {
-            if !batch.is_empty() {
-                if let Some(s) = &survivors {
-                    s.lock().insert(batch.part.meta.id);
-                }
-            }
-            let mut local = chain.apply(&batch);
-            if let Some(t) = &sink_tracker {
-                t.rows_per_morsel[mi].fetch_add(local.len(), Ordering::AcqRel);
-            }
-            sink_slots[mi].lock().append(&mut local);
-        });
-        let (stop, on_morsel_done): (
-            Box<crate::pool::StopFn>,
-            Option<Box<crate::pool::MorselDoneFn>>,
-        ) = match (need, tracker) {
-            (Some(need), Some(t)) => {
-                let stop_t = Arc::clone(&t);
-                (
-                    Box::new(move || stop_t.prefix_rows() >= need),
-                    Some(Box::new(move |mi| t.complete(mi))),
-                )
-            }
-            _ => (Box::new(|| false), None),
-        };
-        let stats = pool
-            .submit(
-                lane,
-                ScanJobSpec {
-                    scan: scan.clone(),
-                    io: self.io.clone(),
-                    io_cost: self.cfg.io_cost,
-                    boundary: None,
-                    runtime_pruner: self.runtime_pruner_for(scan),
-                    morsel_partitions: self.cfg.morsel_partitions,
-                    prefetch_depth: self.cfg.prefetch_depth,
-                    batch_rows: self.cfg.batch_rows,
-                    sink,
-                    stop,
-                    on_morsel_done,
-                },
-            )
-            .wait();
-        let rows = slots
-            .iter()
-            .flat_map(|slot| std::mem::take(&mut *slot.lock()))
-            .collect();
-        (stats, rows)
-    }
-
-    /// Stream a scan's rows — after applying `chain` — into a driver-side
-    /// sequential `sink`, using the morsel pool when one is attached and
-    /// falling back to the in-driver sequential scan otherwise. This is
-    /// the single streaming primitive behind the top-k spine and join
-    /// probe sides, so the boundary and deferred-filter hooks behave
-    /// identically on both paths: workers prune against the live (possibly
-    /// stale) boundary, while heap updates flow back through the driver.
-    /// Each row arrives with its source partition, which the predicate
-    /// cache records alongside top-k heap survivors (§8.2).
-    fn stream_chain_rows(
+    /// The one scan driver: run `scan` partition-by-partition through the
+    /// prefetch pipeline, turn each column-major [`Batch`] into a `T` with
+    /// `worker_map` next to the scan, and hand the `T`s to `driver_sink`
+    /// sequentially on the calling thread. Every scan the executor runs —
+    /// rows or batches, materialized or streamed, with or without a top-k
+    /// `boundary` — is a `(worker_map, driver_sink)` pair over this
+    /// function, and it alone chooses between the two engines:
+    ///
+    /// * **Pooled** (a [`MorselPool`] is attached): the scan is submitted
+    ///   as morsels on `st`'s lane; `worker_map` runs on the pool's workers.
+    ///   [`Delivery::Ordered`] parks each morsel's output in its own slot
+    ///   and drains the slots in morsel order once the scan finishes;
+    ///   [`Delivery::Arrival`] funnels output through a channel the driver
+    ///   drains while later morsels are still scanning.
+    /// * **In-driver** (no pool): the sequential [`stream_scan`], with
+    ///   `worker_map` and `driver_sink` called back to back per batch. This
+    ///   is the reference the differential suites and the benchmark oracle
+    ///   (`Executor::new(_, ExecConfig::no_pruning())`) compare against;
+    ///   both deliveries degenerate to scan-set order on it.
+    ///
+    /// The scan's counters are merged into `st`'s report (with the top-k
+    /// tallies when a `boundary` is hooked) and returned.
+    pub(crate) fn drive_scan<T: RowCount + Send + 'static>(
         &self,
         scan: &CompiledScan,
-        lane: QueryId,
+        st: &mut RunState,
         boundary: Option<(&Arc<Boundary>, usize)>,
-        chain: &BatchChain,
-        sink: &mut dyn FnMut(Vec<Value>, PartitionId),
+        delivery: Delivery,
+        worker_map: impl Fn(Batch) -> Option<T> + Send + Sync + 'static,
+        mut driver_sink: impl FnMut(T),
     ) -> ScanRunStats {
-        if let Some(pool) = &self.pool {
-            // Workers evaluate predicates/projections and funnel row
-            // batches through a channel; the driver applies `sink`
-            // sequentially while later morsels are still scanning, so
-            // boundary tightenings from the heap reach the workers
-            // mid-scan. The channel is bounded (a few batches per worker)
-            // so a slow driver back-pressures the workers instead of
-            // buffering the whole selected row set. Rows arrive in
-            // morsel-completion order, which is timing-dependent: for a
-            // top-k consumer this means ties at the k-th ORDER BY value
-            // are broken by arrival rather than scan order (SQL-legal;
-            // unique-key results stay fully deterministic).
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(PartitionId, Vec<Vec<Value>>)>(
-                pool.worker_count() * 4,
-            );
-            let chain = Arc::new(chain.clone());
-            let ticket: ScanTicket = pool.submit(
-                lane,
+        let need = match delivery {
+            Delivery::Ordered { need } => need,
+            Delivery::Arrival => None,
+        };
+        let stats = if let Some(pool) = &self.pool {
+            let mut stop: Box<StopFn> = Box::new(|| false);
+            let mut on_morsel_done: Option<Box<MorselDoneFn>> = None;
+            let mut slots: Arc<Vec<Mutex<Vec<T>>>> = Arc::default();
+            let mut arrivals = None;
+            let sink: Box<PartitionSink> = match delivery {
+                Delivery::Ordered { .. } => {
+                    let morsels = scan
+                        .scan_set
+                        .len()
+                        .div_ceil(self.cfg.morsel_partitions.max(1));
+                    slots = Arc::new((0..morsels).map(|_| Mutex::new(Vec::new())).collect());
+                    let tracker = need.map(|_| Arc::new(LimitTracker::new(morsels)));
+                    if let (Some(need), Some(tracker)) = (need, &tracker) {
+                        let (on_stop, on_done) = (Arc::clone(tracker), Arc::clone(tracker));
+                        stop = Box::new(move || on_stop.prefix_rows() >= need);
+                        on_morsel_done = Some(Box::new(move |mi| on_done.complete(mi)));
+                    }
+                    let slots = Arc::clone(&slots);
+                    Box::new(move |mi, batch| {
+                        if let Some(t) = worker_map(batch) {
+                            if let Some(tracker) = &tracker {
+                                tracker.rows_per_morsel[mi]
+                                    .fetch_add(t.row_count(), Ordering::AcqRel);
+                            }
+                            slots[mi].lock().push(t);
+                        }
+                    })
+                }
+                Delivery::Arrival => {
+                    // The channel is bounded (a few items per worker) so a
+                    // slow driver back-pressures the workers instead of
+                    // buffering the whole selected row set. SyncSender sends
+                    // through &self, so workers contend only on the channel
+                    // itself.
+                    let (tx, rx) = std::sync::mpsc::sync_channel(pool.worker_count() * 4);
+                    arrivals = Some(rx);
+                    Box::new(move |_, batch| {
+                        if let Some(t) = worker_map(batch) {
+                            let _ = tx.send(t);
+                        }
+                    })
+                }
+            };
+            let ticket = pool.submit(
+                st.lane,
                 ScanJobSpec {
                     scan: scan.clone(),
                     io: self.io.clone(),
@@ -931,41 +795,59 @@ impl Executor {
                     morsel_partitions: self.cfg.morsel_partitions,
                     prefetch_depth: self.cfg.prefetch_depth,
                     batch_rows: self.cfg.batch_rows,
-                    sink: Box::new(move |_, batch| {
-                        let rows = chain.apply(&batch);
-                        if !rows.is_empty() {
-                            // SyncSender sends through &self, so workers
-                            // contend only on the channel itself.
-                            let _ = tx.send((batch.part.meta.id, rows));
-                        }
-                    }),
-                    stop: Box::new(|| false),
-                    on_morsel_done: None,
+                    sink,
+                    stop,
+                    on_morsel_done,
                 },
             );
-            // The job (and with it the sender) drops when its last morsel
-            // finishes, ending this loop.
-            for (pid, batch) in rx {
-                for row in batch {
-                    sink(row, pid);
+            // Arrival: the job (and with it the sender) drops when its last
+            // morsel finishes, ending this loop.
+            for t in arrivals.into_iter().flatten() {
+                driver_sink(t);
+            }
+            let stats = ticket.wait();
+            for slot in slots.iter() {
+                std::mem::take(&mut *slot.lock())
+                    .into_iter()
+                    .for_each(&mut driver_sink);
+            }
+            stats
+        } else {
+            let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
+            let hooks = ScanHooks {
+                boundary,
+                runtime_pruner: runtime_pruner.as_ref(),
+                prefetch_depth: self.cfg.prefetch_depth,
+                batch_rows: self.cfg.batch_rows,
+            };
+            let mut got = 0usize;
+            let full = |got: usize| need.is_some_and(|n| got >= n);
+            stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
+                // Windows that still flow after the break (sticky break)
+                // find the limit already full and are dropped unmapped.
+                if !full(got) {
+                    if let Some(t) = worker_map(batch) {
+                        got += t.row_count();
+                        driver_sink(t);
+                    }
                 }
-            }
-            return ticket.wait();
-        }
-        let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
+                if full(got) {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
         };
-        stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            let pid = batch.part.meta.id;
-            for r in chain.apply(&batch) {
-                sink(r, pid);
-            }
-            ControlFlow::Continue(())
-        })
+        let report = &mut st.report;
+        if boundary.is_some() {
+            let topk_pruned = stats.skipped_by_boundary + stats.cancelled_by_boundary;
+            report.topk_stats.partitions_considered += stats.considered;
+            report.topk_stats.partitions_skipped += topk_pruned;
+            report.pruning.pruned_by_topk += topk_pruned;
+        }
+        report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
+        report.scan_stats.merge(&stats);
+        stats
     }
 
     // ---- joins ----------------------------------------------------------
@@ -1028,7 +910,10 @@ impl Executor {
                     bloom = None; // nothing to probe anyway
                 }
                 let mut bloom_skips = 0u64;
-                let summary_opt = self.cfg.enable_join_pruning.then_some(&summary);
+                let join_hook = self
+                    .cfg
+                    .enable_join_pruning
+                    .then_some((&summary, probe_key.as_str()));
                 let topk_hook = spine_hook.as_ref().map(|(spec, b)| (*spec, b));
                 {
                     let mut mat_sink = |r: Vec<Value>, _: Option<PartitionId>| out.push(r);
@@ -1042,32 +927,32 @@ impl Executor {
                     // dropped here, which silently disqualified every join
                     // shape from cache admission).
                     let batch_probe = if self.cfg.batch_native {
-                        self.prepare_side_scan(probe, summary_opt, probe_key, topk_hook, st)?
+                        self.prepare_chain(probe, join_hook, topk_hook, st)?
                     } else {
                         None
                     };
                     match batch_probe {
-                        Some(side) => {
-                            // Batch-native probe: rows stay column-major
-                            // through the hash lookup and materialize only
-                            // on a match (late materialization).
-                            let key_col =
-                                side.chain.column_of(probe.schema()?.index_of(probe_key)?);
-                            let boundary_hook =
-                                topk_hook.and_then(|(_, b)| side.order_col.map(|c| (b, c)));
-                            let stats = self.stream_chain_batches(
-                                &side.scan,
-                                st.lane,
-                                boundary_hook,
-                                &side.chain,
-                                &mut |batch| {
+                        Some(cs) => {
+                            // Batch-native probe: workers refine each batch
+                            // through the pre-join chain; rows stay
+                            // column-major through the hash lookup and
+                            // materialize only on a match (late
+                            // materialization).
+                            let key_col = cs.chain.column_of(probe.schema()?.index_of(probe_key)?);
+                            self.drive_scan(
+                                &cs.scan,
+                                st,
+                                topk_hook.and_then(|(_, b)| cs.order_col.map(|c| (b, c))),
+                                Delivery::Arrival,
+                                batch_map(cs.chain.clone(), cs.survivors),
+                                |batch| {
                                     let pid = batch.part.meta.id;
                                     bloom_skips += jb.probe_batch(
                                         &batch,
                                         key_col,
                                         bloom.as_ref(),
                                         |i, matches| {
-                                            let probe_row = side.chain.materialize(&batch.part, i);
+                                            let probe_row = cs.chain.materialize(&batch.part, i);
                                             for &bi in matches {
                                                 let mut row = jb.rows()[bi].clone();
                                                 row.extend(probe_row.iter().cloned());
@@ -1077,7 +962,6 @@ impl Executor {
                                     );
                                 },
                             );
-                            merge_side_stats(&mut st.report, &stats, side.order_col.is_some());
                         }
                         None => {
                             let probe_schema = probe.schema()?;
@@ -1101,14 +985,7 @@ impl Executor {
                                     }
                                 }
                             };
-                            self.exec_side_with_pruning(
-                                probe,
-                                summary_opt,
-                                probe_key,
-                                topk_hook,
-                                st,
-                                &mut emit,
-                            )?;
+                            self.stream_side(probe, join_hook, topk_hook, st, &mut emit)?;
                         }
                     }
                 }
@@ -1120,68 +997,63 @@ impl Executor {
             }
             JoinType::OuterPreserveBuild => {
                 // The preserved build side streams; the probe side is the
-                // lookup table. Without a spine we can materialize the build
-                // first and use its keys to join-prune the probe (§6); with
-                // a top-k spine the build streams, so the probe is loaded
-                // unpruned (its keys are needed before any build row flows).
-                let build_schema = build.schema()?;
-                let bk = build_schema.index_of(build_key)?;
+                // lookup table.
+                let bk = build.schema()?.index_of(build_key)?;
                 let probe_width = probe.schema()?.len();
-                let (lookup, prebuilt) = match spine {
-                    Some(_) => (self.outer_probe_lookup(probe, probe_key, None, st)?, None),
-                    None => {
-                        let build_rows = self.exec_node(build, st)?;
-                        let keys: Vec<Value> =
-                            build_rows.rows.iter().map(|r| r[bk].clone()).collect();
-                        let summary = JoinSummary::build(keys.iter(), self.cfg.join_summary);
-                        st.report.join_summary_bytes += summary.serialized_bytes() as u64;
-                        let summary_opt = self.cfg.enable_join_pruning.then_some(&summary);
-                        let lookup = self.outer_probe_lookup(probe, probe_key, summary_opt, st)?;
-                        (lookup, Some(build_rows))
-                    }
-                };
-                {
-                    let mut mat_sink = |r: Vec<Value>, _: Option<PartitionId>| out.push(r);
-                    let (row_sink, spine_parts): (RowSink<'_>, SpineParts<'_>) = match spine {
-                        Some(sp) => (&mut *sp.f, Some((sp.spec, sp.boundary))),
-                        None => (&mut mat_sink, None),
-                    };
-                    // Preserved rows keep their source partition — the
-                    // build side is the spine of an OuterJoinBuildSide
-                    // top-k, so dropping the pid here used to abort §8.2
-                    // recording for every outer-join shape.
-                    let mut join_one = |row: Vec<Value>, pid: Option<PartitionId>| {
-                        let key = &row[bk];
-                        // NULL build keys are never indexed, so a NULL key
-                        // falls straight to the preserved (null-padded) arm.
-                        match lookup.matches(key) {
-                            Some(matches) => {
-                                for &pi in matches {
-                                    let mut joined = row.clone();
-                                    joined.extend(lookup.rows()[pi].iter().cloned());
-                                    row_sink(joined, pid);
-                                }
-                            }
-                            None => {
-                                let mut joined = row;
-                                joined.extend(std::iter::repeat_n(Value::Null, probe_width));
+                // Preserved rows keep their source partition — the build
+                // side is the spine of an OuterJoinBuildSide top-k, so
+                // dropping the pid here used to abort §8.2 recording for
+                // every outer-join shape.
+                let join_one = |lookup: &JoinBuild,
+                                row: Vec<Value>,
+                                pid: Option<PartitionId>,
+                                row_sink: RowSink<'_>| {
+                    // NULL build keys are never indexed, so a NULL key
+                    // falls straight to the preserved (null-padded) arm.
+                    match lookup.matches(&row[bk]) {
+                        Some(matches) => {
+                            for &pi in matches {
+                                let mut joined = row.clone();
+                                joined.extend(lookup.rows()[pi].iter().cloned());
                                 row_sink(joined, pid);
                             }
                         }
-                    };
-                    match (spine_parts, prebuilt) {
-                        (Some((spec, boundary)), _) => {
-                            // Figure 7c: the build side streams through the
-                            // spine so boundary pruning applies to it.
-                            self.stream_spine_node(build, spec, boundary, st, &mut join_one)?;
+                        None => {
+                            let mut joined = row;
+                            joined.extend(std::iter::repeat_n(Value::Null, probe_width));
+                            row_sink(joined, pid);
                         }
-                        (None, Some(build_rows)) => {
-                            for r in build_rows.rows {
-                                join_one(r, None);
-                            }
+                    }
+                };
+                match spine {
+                    // Figure 7c: the build side streams through the spine
+                    // so boundary pruning applies to it — which means the
+                    // probe is loaded unpruned (its keys are needed before
+                    // any build row flows).
+                    Some(sp) => {
+                        let lookup = self.outer_probe_lookup(probe, probe_key, None, st)?;
+                        self.stream_spine_node(
+                            build,
+                            sp.spec,
+                            sp.boundary,
+                            st,
+                            &mut |row, pid| join_one(&lookup, row, pid, &mut *sp.f),
+                        )?;
+                    }
+                    // Without a spine the build materializes first and its
+                    // keys join-prune the probe (§6).
+                    None => {
+                        let build_rows = self.exec_node(build, st)?;
+                        let summary = JoinSummary::build(
+                            build_rows.rows.iter().map(|r| &r[bk]),
+                            self.cfg.join_summary,
+                        );
+                        st.report.join_summary_bytes += summary.serialized_bytes() as u64;
+                        let summary_opt = self.cfg.enable_join_pruning.then_some(&summary);
+                        let lookup = self.outer_probe_lookup(probe, probe_key, summary_opt, st)?;
+                        for row in build_rows.rows {
+                            join_one(&lookup, row, None, &mut |r, _| out.push(r));
                         }
-                        // PANIC-OK: the planner prebuilds every non-spine side.
-                        (None, None) => unreachable!("non-spine path prebuilds"),
                     }
                 }
                 Ok(RowSet {
@@ -1192,121 +1064,103 @@ impl Executor {
         }
     }
 
-    /// Compile a join side that is a Filter*/Project* chain over a scan:
-    /// apply §6 join pruning to its scan set and, when the side is the
-    /// top-k spine target, install the Figure-7b machinery (scan-set
-    /// ordering, boundary seeding, snapshot-version pinning for §8.2
-    /// recording). Returns `None` for non-chain shapes, having touched
-    /// nothing.
-    fn prepare_side_scan(
+    /// Compile a Filter*/Project* chain over a scan. With `join` (a build
+    /// side's summary and this side's key column), apply §6 join pruning
+    /// to the scan set; with `topk`, when the scan is the top-k spine
+    /// target, install the Figure-7b machinery (scan-set ordering, boundary
+    /// seeding) and report the order column for the boundary hook. Returns
+    /// `None` for non-chain shapes, having touched nothing.
+    fn prepare_chain(
         &self,
         plan: &Plan,
-        summary: Option<&JoinSummary>,
-        key_column: &str,
+        join: Option<(&JoinSummary, &str)>,
         topk: Option<(&TopKSpec, &Arc<Boundary>)>,
         st: &mut RunState,
-    ) -> Result<Option<SideScan>> {
+    ) -> Result<Option<ChainScan>> {
         let Some((chain, table, predicate)) = split_chain(plan) else {
             return Ok(None);
         };
-        let mut scan = self.prepare_scan(table, predicate, st)?;
-        if let Some(summary) = summary {
-            if let Ok(key_idx) = scan.schema.index_of(key_column) {
-                let metas: Vec<PartitionMeta> =
-                    scan.table.metadata().into_iter().cloned().collect();
+        let (mut scan, survivors) = self.prepare_scan(table, predicate, st)?;
+        let join = join.and_then(|(summary, key)| Some((summary, scan.schema.index_of(key).ok()?)));
+        let topk = topk
+            .filter(|(spec, _)| scan.table_name == spec.target_table)
+            .and_then(|(spec, b)| Some((spec, b, scan.schema.index_of(&spec.order_column).ok()?)));
+        if join.is_some() || topk.is_some() {
+            let metas: Vec<PartitionMeta> = scan.table.metadata().into_iter().cloned().collect();
+            if let Some((summary, key_idx)) = join {
                 let res = prune_probe_side(summary, &scan.scan_set, &metas, key_idx);
                 st.report.pruning.pruned_by_join += res.pruned as u64;
                 scan.scan_set = res.scan_set;
             }
-        }
-        // Figure 7b: when this side is the top-k spine target, install
-        // the boundary hook, order the scan set, and seed the boundary.
-        let mut order_col_hook = None;
-        if let Some((spec, boundary)) = topk {
-            if scan.table_name == spec.target_table {
-                if let Ok(order_col) = scan.schema.index_of(&spec.order_column) {
-                    let metas: Vec<PartitionMeta> =
-                        scan.table.metadata().into_iter().cloned().collect();
-                    order_scan_set(
-                        &mut scan.scan_set,
+            if let Some((spec, boundary, order_col)) = topk {
+                order_scan_set(
+                    &mut scan.scan_set,
+                    &metas,
+                    order_col,
+                    spec.desc,
+                    self.cfg.topk_order,
+                );
+                if self.cfg.topk_init_boundary {
+                    if let Some(init) = initial_boundary(
+                        &scan.scan_set,
                         &metas,
                         order_col,
+                        spec.k + spec.offset,
                         spec.desc,
-                        self.cfg.topk_order,
-                    );
-                    if self.cfg.topk_init_boundary {
-                        if let Some(init) = initial_boundary(
-                            &scan.scan_set,
-                            &metas,
-                            order_col,
-                            spec.k + spec.offset,
-                            spec.desc,
-                        ) {
-                            boundary.tighten(&init);
-                        }
+                    ) {
+                        boundary.tighten(&init);
                     }
-                    // Top-k cache recording through a join: the spine
-                    // target is this side's scan, so the snapshot version
-                    // the recorded partitions refer to pins here (without
-                    // it, join-shape recordings could never complete).
-                    if let Some(cr) = &mut st.cache {
-                        if cr.table == scan.table_name {
-                            if let Some(rec) = &mut cr.record {
-                                if rec.is_topk() {
-                                    rec.snapshot_version = Some(scan.table.version());
-                                }
-                            }
-                        }
-                    }
-                    order_col_hook = Some(order_col);
                 }
             }
         }
         let chain = bind_chain(&chain, &scan.schema)?;
-        Ok(Some(SideScan {
+        Ok(Some(ChainScan {
             scan,
             chain,
-            order_col: order_col_hook,
+            order_col: topk.map(|(.., order_col)| order_col),
+            survivors,
         }))
     }
 
-    /// Execute a probe side (Filter*/Project* chain over a scan) with
-    /// join pruning applied to its scan set, streaming rows into `sink`
-    /// with their source partition. Falls back to materialized execution
-    /// (no provenance) for other shapes.
-    fn exec_side_with_pruning(
+    /// Stream a join side or the top-k spine target (a Filter*/Project*
+    /// chain over a scan, prepared by [`Executor::prepare_chain`]) into
+    /// `sink`, each row with its source partition — which the predicate
+    /// cache records alongside top-k heap survivors (§8.2). Workers
+    /// evaluate the chain and prune against the live (possibly stale)
+    /// boundary while heap updates flow back through the driver, so
+    /// tightenings reach them mid-scan. Falls back to materialized
+    /// execution (no provenance) for other shapes.
+    fn stream_side(
         &self,
         plan: &Plan,
-        summary: Option<&JoinSummary>,
-        key_column: &str,
+        join: Option<(&JoinSummary, &str)>,
         topk: Option<(&TopKSpec, &Arc<Boundary>)>,
         st: &mut RunState,
-        sink: &mut dyn FnMut(Vec<Value>, Option<PartitionId>),
+        sink: RowSink<'_>,
     ) -> Result<()> {
-        if let Some(side) = self.prepare_side_scan(plan, summary, key_column, topk, st)? {
-            let boundary_hook = topk.and_then(|(_, b)| side.order_col.map(|c| (b, c)));
-            let stats = self.stream_chain_rows(
-                &side.scan,
-                st.lane,
-                boundary_hook,
-                &side.chain,
-                &mut |r, pid| sink(r, Some(pid)),
-            );
-            merge_side_stats(&mut st.report, &stats, side.order_col.is_some());
+        let Some(cs) = self.prepare_chain(plan, join, topk, st)? else {
+            for r in self.exec_node(plan, st)?.rows {
+                sink(r, None);
+            }
             return Ok(());
-        }
-        let rows = self.exec_node(plan, st)?;
-        for r in rows.rows {
-            sink(r, None);
-        }
+        };
+        self.drive_scan(
+            &cs.scan,
+            st,
+            topk.and_then(|(_, b)| cs.order_col.map(|c| (b, c))),
+            Delivery::Arrival,
+            rows_map(cs.chain, cs.survivors),
+            |(pid, chunk)| chunk.into_iter().for_each(|r| sink(r, Some(pid))),
+        );
         Ok(())
     }
 
     /// Batch-native bulk load of a join side into a [`JoinBuild`]: when
     /// `plan` is a Filter*/Project* chain over a scan (and the batch-native
-    /// path is on), collect its refined batches in scan-set order and push
-    /// rows + keys column-major. Returns `None` when the side needs the
-    /// generic row fallback.
+    /// path is on), push its refined batches' rows + keys column-major, in
+    /// scan-set order (so the §6 summary sees the sequential key
+    /// sequence). Returns `None` when the side needs the generic row
+    /// fallback.
     fn try_batch_join_side(
         &self,
         plan: &Plan,
@@ -1317,16 +1171,20 @@ impl Executor {
         if !self.cfg.batch_native {
             return Ok(None);
         }
-        let Some(side) = self.prepare_side_scan(plan, summary, key_column, None, st)? else {
+        let join = summary.map(|s| (s, key_column));
+        let Some(cs) = self.prepare_chain(plan, join, None, st)? else {
             return Ok(None);
         };
         let key_out = plan.schema()?.index_of(key_column)?;
         let mut jb = JoinBuild::new();
-        let (stats, batches) = self.collect_chain_batches(&side.scan, st.lane, &side.chain, None);
-        for b in &batches {
-            jb.push_batch(b, &side.chain, key_out);
-        }
-        merge_side_stats(&mut st.report, &stats, false);
+        self.drive_scan(
+            &cs.scan,
+            st,
+            None,
+            Delivery::Ordered { need: None },
+            batch_map(cs.chain.clone(), cs.survivors),
+            |batch| jb.push_batch(&batch, &cs.chain, key_out),
+        );
         Ok(Some(jb))
     }
 
@@ -1346,178 +1204,20 @@ impl Executor {
         let probe_schema = probe.schema()?;
         let pk = probe_schema.index_of(probe_key)?;
         let mut jb = JoinBuild::new();
-        self.exec_side_with_pruning(probe, summary, probe_key, None, st, &mut |r, _| {
+        let join = summary.map(|s| (s, probe_key));
+        self.stream_side(probe, join, None, st, &mut |r, _| {
             let key = r[pk].clone();
             jb.push_row(r, key);
         })?;
         Ok(jb)
     }
 
-    /// Stream a scan's *batches* — refined by `chain`'s filters but not
-    /// materialized — into a driver-side sequential sink. The batch-native
-    /// counterpart of [`Executor::stream_chain_rows`]: identical pooling,
-    /// boundary, and arrival-order semantics, but rows stay column-major
-    /// until the consumer (the join probe) decides what to materialize.
-    fn stream_chain_batches(
-        &self,
-        scan: &CompiledScan,
-        lane: QueryId,
-        boundary: Option<(&Arc<Boundary>, usize)>,
-        chain: &BatchChain,
-        sink: &mut dyn FnMut(Batch),
-    ) -> ScanRunStats {
-        if let Some(pool) = &self.pool {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(pool.worker_count() * 4);
-            let chain = Arc::new(chain.clone());
-            let ticket: ScanTicket = pool.submit(
-                lane,
-                ScanJobSpec {
-                    scan: scan.clone(),
-                    io: self.io.clone(),
-                    io_cost: self.cfg.io_cost,
-                    boundary: boundary.map(|(b, col)| (Arc::clone(b), col)),
-                    runtime_pruner: self.runtime_pruner_for(scan),
-                    morsel_partitions: self.cfg.morsel_partitions,
-                    prefetch_depth: self.cfg.prefetch_depth,
-                    batch_rows: self.cfg.batch_rows,
-                    sink: Box::new(move |_, batch| {
-                        let mut sel = batch.sel.clone();
-                        chain.refine(&batch.part, &mut sel);
-                        if !sel.is_empty() {
-                            let _ = tx.send(Batch {
-                                part: batch.part,
-                                sel,
-                            });
-                        }
-                    }),
-                    stop: Box::new(|| false),
-                    on_morsel_done: None,
-                },
-            );
-            // The job (and with it the sender) drops when its last morsel
-            // finishes, ending this loop.
-            for batch in rx {
-                sink(batch);
-            }
-            return ticket.wait();
-        }
-        let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            let mut sel = batch.sel.clone();
-            chain.refine(&batch.part, &mut sel);
-            if !sel.is_empty() {
-                sink(Batch {
-                    part: batch.part,
-                    sel,
-                });
-            }
-            ControlFlow::Continue(())
-        })
-    }
-
-    /// Run a scan to completion and return its refined batches in exact
-    /// scan-set order — the batch-native analogue of
-    /// [`Executor::run_pooled_scan`]'s ordered row reassembly. Pooled
-    /// workers refine batches morsel-locally and park them in per-morsel
-    /// slots, so the returned order (and with it every order-sensitive
-    /// consumer: float accumulation, join-summary construction) is
-    /// byte-identical to the sequential scan no matter how morsels
-    /// interleave. `survivors`, when armed, records partitions that
-    /// emitted at least one scan-predicate-selected row *before* the chain
-    /// refines (the same contract as `exec_scan`).
-    fn collect_chain_batches(
-        &self,
-        scan: &CompiledScan,
-        lane: QueryId,
-        chain: &BatchChain,
-        survivors: Option<Arc<Mutex<HashSet<PartitionId>>>>,
-    ) -> (ScanRunStats, Vec<Batch>) {
-        if let Some(pool) = &self.pool {
-            let morsels = scan
-                .scan_set
-                .len()
-                .div_ceil(self.cfg.morsel_partitions.max(1));
-            let slots: Arc<Vec<Mutex<Vec<Batch>>>> =
-                Arc::new((0..morsels).map(|_| Mutex::new(Vec::new())).collect());
-            let sink_slots = Arc::clone(&slots);
-            let chain = chain.clone();
-            let sink: Box<crate::pool::PartitionSink> = Box::new(move |mi, batch| {
-                if !batch.is_empty() {
-                    if let Some(s) = &survivors {
-                        s.lock().insert(batch.part.meta.id);
-                    }
-                }
-                let mut sel = batch.sel.clone();
-                chain.refine(&batch.part, &mut sel);
-                if !sel.is_empty() {
-                    sink_slots[mi].lock().push(Batch {
-                        part: batch.part,
-                        sel,
-                    });
-                }
-            });
-            let stats = pool
-                .submit(
-                    lane,
-                    ScanJobSpec {
-                        scan: scan.clone(),
-                        io: self.io.clone(),
-                        io_cost: self.cfg.io_cost,
-                        boundary: None,
-                        runtime_pruner: self.runtime_pruner_for(scan),
-                        morsel_partitions: self.cfg.morsel_partitions,
-                        prefetch_depth: self.cfg.prefetch_depth,
-                        batch_rows: self.cfg.batch_rows,
-                        sink,
-                        stop: Box::new(|| false),
-                        on_morsel_done: None,
-                    },
-                )
-                .wait();
-            let batches = slots
-                .iter()
-                .flat_map(|slot| std::mem::take(&mut *slot.lock()))
-                .collect();
-            return (stats, batches);
-        }
-        let mut batches = Vec::new();
-        let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary: None,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        let stats = stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            if !batch.is_empty() {
-                if let Some(s) = &survivors {
-                    s.lock().insert(batch.part.meta.id);
-                }
-            }
-            let mut sel = batch.sel.clone();
-            chain.refine(&batch.part, &mut sel);
-            if !sel.is_empty() {
-                batches.push(Batch {
-                    part: batch.part,
-                    sel,
-                });
-            }
-            ControlFlow::Continue(())
-        });
-        (stats, batches)
-    }
-
     /// Batch-native GROUP BY over a Filter*/Project* chain: columns fold
     /// straight into typed per-group accumulators
-    /// ([`crate::agg::fold_chunk_grouped`]) without ever materializing
-    /// input rows. Returns `None` for non-chain inputs (the row path
-    /// handles them).
+    /// ([`crate::agg::fold_chunk_grouped`]), in scan-set order (so float
+    /// accumulation matches the sequential fold), without ever
+    /// materializing input rows. Returns `None` for non-chain inputs (the
+    /// row path handles them).
     fn exec_batch_aggregate(
         &self,
         plan: &Plan,
@@ -1526,31 +1226,18 @@ impl Executor {
         aggs: &[AggFunc],
         st: &mut RunState,
     ) -> Result<Option<RowSet>> {
-        let Some((chain, table, predicate)) = split_chain(input) else {
+        let Some(cs) = self.prepare_chain(input, None, None, st)? else {
             return Ok(None);
         };
-        let scan = self.prepare_scan(table, predicate, st)?;
-        // Filter-shape cache recording, same contract as `exec_scan`:
-        // remember every partition that emitted at least one selected row
-        // and pin the snapshot version the recording refers to.
-        let survivors = match &mut st.cache {
-            Some(cr) if cr.table == table => match &mut cr.record {
-                Some(rec) if !rec.is_topk() => {
-                    rec.snapshot_version = Some(scan.table.version());
-                    Some(Arc::clone(&rec.survivors))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        let bound_chain = bind_chain(&chain, &scan.schema)?;
-        let input_schema = input.schema()?;
-        let mut agg = BatchAggregator::new(&bound_chain, &input_schema, group_by, aggs)?;
-        let (stats, batches) = self.collect_chain_batches(&scan, st.lane, &bound_chain, survivors);
-        for b in &batches {
-            agg.update(b);
-        }
-        merge_side_stats(&mut st.report, &stats, false);
+        let mut agg = BatchAggregator::new(&cs.chain, &input.schema()?, group_by, aggs)?;
+        self.drive_scan(
+            &cs.scan,
+            st,
+            None,
+            Delivery::Ordered { need: None },
+            batch_map(cs.chain, cs.survivors),
+            |batch| agg.update(&batch),
+        );
         Ok(Some(RowSet {
             schema: plan.schema()?,
             rows: agg.finish(),
@@ -1571,6 +1258,12 @@ impl Executor {
         let boundary = Boundary::new(spec.desc);
 
         if spec.shape == TopKShape::AboveAggregation {
+            // `detect_topk` classifies through Filter/Project nodes, but
+            // the distinct-key path needs the Aggregate directly below the
+            // Sort; anything else sorts generically.
+            if !matches!(below.as_ref(), Plan::Aggregate { .. }) {
+                return self.exec_node(plan, st);
+            }
             return self.exec_topk_aggregation(below, spec, n, *offset as usize, &boundary, st);
         }
 
@@ -1672,24 +1365,9 @@ impl Executor {
             aggs,
         } = agg_plan
         else {
-            // Shape said aggregation but the node is not: fall back on an
-            // isolated state (no limit-override leakage) that keeps this
-            // query's pool lane, then merge its pruning counters back.
-            let mut st2 = RunState {
-                lane: st.lane,
-                ..RunState::default()
-            };
-            let r = self.exec_node(agg_plan, &mut st2)?;
-            let p = &mut st.report.pruning;
-            let p2 = &st2.report.pruning;
-            p.partitions_total += p2.partitions_total;
-            p.pruned_by_filter += p2.pruned_by_filter;
-            p.pruned_by_limit += p2.pruned_by_limit;
-            p.pruned_by_join += p2.pruned_by_join;
-            p.pruned_by_topk += p2.pruned_by_topk;
-            p.fully_matching += p2.fully_matching;
-            st.report.scan_stats.merge(&st2.report.scan_stats);
-            return Ok(r);
+            return Err(Error::Invalid(
+                "exec_topk_aggregation on non-aggregate".into(),
+            ));
         };
         let input_schema = input.schema()?;
         let key_pos = group_by
@@ -1744,20 +1422,10 @@ impl Executor {
         // (worker-side on pooled runs) and rows materialize only at the
         // heap insert. Rows keep per-batch partition provenance, so §8.2
         // recording is unchanged.
-        if let Some((chain, table, predicate)) = split_chain(plan) {
-            if table == spec.target_table {
-                return self
-                    .stream_spine_target(&chain, table, predicate, spec, boundary, st, sink);
-            }
+        if split_chain(plan).is_some_and(|(_, table, _)| table == spec.target_table) {
+            return self.stream_side(plan, None, Some((spec, boundary)), st, sink);
         }
         match plan {
-            Plan::Scan { .. } => {
-                let rows = self.exec_node(plan, st)?;
-                for r in rows.rows {
-                    sink(r, None);
-                }
-                Ok(())
-            }
             Plan::Filter { input, predicate } => {
                 let schema = input.schema()?;
                 let bound = predicate.bind(&schema)?;
@@ -1796,70 +1464,6 @@ impl Executor {
                 Ok(())
             }
         }
-    }
-
-    /// The spine's target scan plus its Filter*/Project* chain: install
-    /// the boundary hook, order the scan set, seed the boundary, pin the
-    /// cache-recording snapshot version, and stream the chain's output
-    /// rows (with source-partition provenance) into `sink`.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_spine_target(
-        &self,
-        chain: &[ChainOp],
-        table: &str,
-        predicate: Option<&snowprune_expr::Expr>,
-        spec: &TopKSpec,
-        boundary: &Arc<Boundary>,
-        st: &mut RunState,
-        sink: &mut dyn FnMut(Vec<Value>, Option<PartitionId>),
-    ) -> Result<()> {
-        let mut scan = self.prepare_scan(table, predicate, st)?;
-        let order_col = scan.schema.index_of(&spec.order_column)?;
-        let metas: Vec<PartitionMeta> = scan.table.metadata().into_iter().cloned().collect();
-        order_scan_set(
-            &mut scan.scan_set,
-            &metas,
-            order_col,
-            spec.desc,
-            self.cfg.topk_order,
-        );
-        if self.cfg.topk_init_boundary {
-            if let Some(init) = initial_boundary(
-                &scan.scan_set,
-                &metas,
-                order_col,
-                spec.k + spec.offset,
-                spec.desc,
-            ) {
-                boundary.tighten(&init);
-            }
-        }
-        // Top-k cache recording: pin the snapshot version the recorded
-        // partitions refer to.
-        if let Some(cr) = &mut st.cache {
-            if cr.table == table {
-                if let Some(rec) = &mut cr.record {
-                    if rec.is_topk() {
-                        rec.snapshot_version = Some(scan.table.version());
-                    }
-                }
-            }
-        }
-        let bound_chain = bind_chain(chain, &scan.schema)?;
-        let stats = self.stream_chain_rows(
-            &scan,
-            st.lane,
-            Some((boundary, order_col)),
-            &bound_chain,
-            &mut |r, pid| sink(r, Some(pid)),
-        );
-        let topk_pruned = stats.skipped_by_boundary + stats.cancelled_by_boundary;
-        st.report.topk_stats.partitions_considered += stats.considered;
-        st.report.topk_stats.partitions_skipped += topk_pruned;
-        st.report.pruning.pruned_by_topk += topk_pruned;
-        st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-        st.report.scan_stats.merge(&stats);
-        Ok(())
     }
 }
 
@@ -1910,34 +1514,102 @@ impl LimitTracker {
     }
 }
 
-/// A join side compiled by [`Executor::prepare_side_scan`]: the (join- and
-/// cache-restricted) scan, the bound filter/project chain above it, and
-/// the order column when the Figure-7b boundary hook installed.
-struct SideScan {
+/// How [`Executor::drive_scan`] hands worker output to the driver-side sink
+/// when the scan runs pooled.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Delivery {
+    /// Exact scan-set order, after the scan has drained: every
+    /// order-sensitive consumer (result rows, float accumulation,
+    /// join-summary construction) sees the sequential scan's sequence no
+    /// matter which worker ran which morsel. `need = Some(k)` arms the
+    /// [`LimitTracker`]'s deterministic prefix-based early stop (§4.4
+    /// pre-assigned partitions excepted); the caller truncates to `k`.
+    Ordered { need: Option<usize> },
+    /// Morsel-completion order, while later morsels are still scanning, so
+    /// a consumer that tightens the scan's boundary (the top-k heap)
+    /// reaches the workers mid-scan. Arrival order is timing-dependent:
+    /// for a top-k consumer, ties at the k-th ORDER BY value are broken by
+    /// arrival rather than scan order (SQL-legal; unique-key results stay
+    /// fully deterministic).
+    Arrival,
+}
+
+/// Worker output whose rows the ordered-LIMIT prefix accounting counts.
+pub(crate) trait RowCount {
+    fn row_count(&self) -> usize;
+}
+
+/// One batch's output rows, materialized worker-side, with their source
+/// partition.
+pub(crate) type RowChunk = (PartitionId, Vec<Vec<Value>>);
+
+impl RowCount for RowChunk {
+    fn row_count(&self) -> usize {
+        self.1.len()
+    }
+}
+
+impl RowCount for Batch {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// §8.2 filter recording, worker-side: a partition is a survivor as soon
+/// as one of its batches carries a scan-predicate-selected row — *before*
+/// any chain refines it.
+fn note_survivor(survivors: &Survivors, batch: &Batch) {
+    if let Some(s) = survivors {
+        if !batch.is_empty() {
+            s.lock().insert(batch.part.meta.id);
+        }
+    }
+}
+
+/// Worker map to materialized rows: the full `chain` applied to each batch.
+pub(crate) fn rows_map(
+    chain: BatchChain,
+    survivors: Survivors,
+) -> impl Fn(Batch) -> Option<RowChunk> + Send + Sync + 'static {
+    move |batch| {
+        note_survivor(&survivors, &batch);
+        let rows = chain.apply(&batch);
+        (!rows.is_empty()).then_some((batch.part.meta.id, rows))
+    }
+}
+
+/// Worker map to refined batches: `chain`'s filters narrow the selection,
+/// rows stay column-major for the consumer to materialize late.
+fn batch_map(
+    chain: BatchChain,
+    survivors: Survivors,
+) -> impl Fn(Batch) -> Option<Batch> + Send + Sync + 'static {
+    move |batch| {
+        note_survivor(&survivors, &batch);
+        let mut sel = batch.sel.clone();
+        chain.refine(&batch.part, &mut sel);
+        (!sel.is_empty()).then_some(Batch {
+            part: batch.part,
+            sel,
+        })
+    }
+}
+
+/// A Filter*/Project* chain over a scan, compiled by
+/// [`Executor::prepare_chain`]: the (join- and cache-restricted) scan, the
+/// bound chain above it, the order column when the Figure-7b boundary hook
+/// installed, and the filter recorder's survivor set when it is the
+/// record target.
+struct ChainScan {
     scan: CompiledScan,
     chain: BatchChain,
     order_col: Option<usize>,
-}
-
-/// Merge one join-side scan's counters into the query report; `hooked`
-/// adds the top-k boundary tallies when the Figure-7b hook was installed.
-fn merge_side_stats(report: &mut ExecReport, stats: &ScanRunStats, hooked: bool) {
-    if hooked {
-        let topk_pruned = stats.skipped_by_boundary + stats.cancelled_by_boundary;
-        report.topk_stats.partitions_considered += stats.considered;
-        report.topk_stats.partitions_skipped += topk_pruned;
-        report.pruning.pruned_by_topk += topk_pruned;
-    }
-    report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-    report.scan_stats.merge(stats);
+    survivors: Survivors,
 }
 
 /// A row consumer on the streaming path, with optional source-partition
 /// provenance (None for joined or materialized rows).
 type RowSink<'a> = &'a mut dyn FnMut(Vec<Value>, Option<PartitionId>);
-
-/// Top-k spec and boundary carried alongside a spine sink.
-type SpineParts<'a> = Option<(&'a TopKSpec, &'a Arc<Boundary>)>;
 
 /// A streaming sink handed through joins on the top-k spine.
 struct SpineSink<'a> {
@@ -2033,21 +1705,6 @@ fn sort_rows(input: RowSet, keys: &[SortKey]) -> Result<RowSet> {
         schema: input.schema,
         rows,
     })
-}
-
-/// How many `Scan` nodes of `table` appear in the plan. Cache admission of
-/// join shapes requires exactly one (self-joins scan the target twice, and
-/// restricting both scans to one side's contributors would be unsound).
-fn count_scans_of(plan: &Plan, table: &str) -> usize {
-    let mut n = 0;
-    plan.visit(&mut |p| {
-        if let Plan::Scan { table: t, .. } = p {
-            if t == table {
-                n += 1;
-            }
-        }
-    });
-    n
 }
 
 fn has_join(plan: &Plan) -> bool {

@@ -353,7 +353,14 @@ impl MorselPool {
 
 impl Drop for MorselPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the injector lock: a worker checks it and
+        // parks on `work_cv` without releasing that lock in between, so the
+        // store cannot slip between its check and its wait (a wake-up lost
+        // there would hang the join below forever).
+        {
+            let _queue = lock(&self.shared.injector);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();

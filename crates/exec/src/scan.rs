@@ -675,74 +675,120 @@ mod tests {
 
     #[test]
     fn pooled_scan_matches_sequential_rows() {
-        // Strengthened from the old count-only check: the pooled scan must
-        // reproduce the sequential scan's *row contents* exactly — both as
-        // a sorted multiset and, after morsel-order reassembly, in the
-        // identical scan-set order.
-        let t = table();
-        let io_seq = IoStats::new();
+        // Every engine behind `Executor::drive_scan` — in-driver, pooled
+        // with 1 worker, pooled with 4 — under every delivery discipline
+        // must reproduce the bare sequential `stream_scan` on a scan that
+        // exercises all the runtime hooks at once: a zero compile-time
+        // budget defers the filter verdicts to the runtime pruner, and a
+        // pre-seeded ascending boundary skips the tail of the scan set.
+        use crate::exec::{rows_map, Delivery, Executor, RunState};
+        let filter = FilterPruneConfig {
+            compile_time_budget_ns: 0,
+            cutoff: false,
+            ..FilterPruneConfig::default()
+        };
         let model = IoCostModel::free();
         let pred = col("x").ge(lit(100i64));
         let scan = CompiledScan::compile(
             "t",
-            t,
+            table(),
             Some(&pred),
             true,
-            &FilterPruneConfig::default(),
-            &io_seq,
+            &filter,
+            &IoStats::new(),
             &model,
         )
         .unwrap();
+        assert!(!scan.deferred_ids.is_empty());
+        let boundary = Boundary::new(false);
+        boundary.tighten(&Value::Int(155));
+
+        let pruner = Mutex::new(FilterPruner::new(
+            scan.predicate.as_ref().unwrap(),
+            filter.clone(),
+        ));
+        let hooks = ScanHooks {
+            boundary: Some((&boundary, 0)),
+            runtime_pruner: Some(&pruner),
+            prefetch_depth: 2,
+            batch_rows: 4,
+        };
         let mut seq_rows: Vec<Vec<Value>> = Vec::new();
-        let seq_stats = stream_scan(&scan, &io_seq, &model, &ScanHooks::none(), |batch| {
+        let mut seq_parts = HashSet::new();
+        let seq_stats = stream_scan(&scan, &IoStats::new(), &model, &hooks, |batch| {
+            if !batch.is_empty() {
+                seq_parts.insert(batch.part.meta.id);
+            }
             seq_rows.extend(batch.sel.iter().map(|i| batch.part.row(i)));
             ControlFlow::Continue(())
         });
+        // x in [100, 160): partitions 10..=15 load, 0..=9 fall to the
+        // runtime filter, 16..=19 to the boundary.
+        assert_eq!(seq_rows.len(), 60);
+        assert_eq!(seq_stats.loaded, 6);
+        assert!(seq_stats.cancelled_by_runtime_filter > 0);
+        assert_eq!(seq_stats.skipped_by_boundary, 4);
 
-        let pool = crate::pool::MorselPool::new(4);
-        let io_pool = IoStats::new();
-        let morsel_partitions = 3usize;
-        let slots: Arc<Vec<Mutex<Vec<Vec<Value>>>>> = Arc::new(
-            (0..scan.scan_set.len().div_ceil(morsel_partitions))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-        );
-        let sink_slots = Arc::clone(&slots);
-        let stats = pool
-            .submit(
-                pool.next_lane(),
-                crate::pool::ScanJobSpec {
-                    scan: scan.clone(),
-                    io: io_pool.clone(),
-                    io_cost: model,
-                    boundary: None,
-                    runtime_pruner: None,
-                    morsel_partitions,
-                    prefetch_depth: 2,
-                    batch_rows: usize::MAX,
-                    sink: Box::new(move |mi, batch| {
-                        let mut g = sink_slots[mi].lock();
-                        g.extend(batch.sel.iter().map(|i| batch.part.row(i)));
-                    }),
-                    stop: Box::new(|| false),
-                    on_morsel_done: None,
-                },
-            )
-            .wait();
-        let pooled_rows: Vec<Vec<Value>> =
-            slots.iter().flat_map(|slot| slot.lock().clone()).collect();
-
-        assert_eq!(stats.loaded, seq_stats.loaded);
-        assert_eq!(stats.rows_emitted, seq_stats.rows_emitted);
-        assert_eq!(pooled_rows.len(), 100);
-        // Morsel-order reassembly reproduces the sequential order exactly.
-        assert_eq!(pooled_rows, seq_rows);
-        let sort = |mut rows: Vec<Vec<Value>>| {
+        let cfg = crate::ExecConfig {
+            scan_threads: 1,
+            morsel_partitions: 3,
+            prefetch_depth: 2,
+            batch_rows: 4,
+            filter,
+            io_cost: model,
+            ..crate::ExecConfig::default()
+        };
+        let catalog = snowprune_storage::Catalog::new;
+        let pooled = |n| Executor::with_pool(catalog(), cfg.clone(), crate::MorselPool::new(n));
+        let engines = [
+            ("in-driver", Executor::new(catalog(), cfg.clone())),
+            ("pooled x1", pooled(1)),
+            ("pooled x4", pooled(4)),
+        ];
+        let sorted = |mut rows: Vec<Vec<Value>>| {
             rows.sort_by(|a, b| a[0].total_ord_cmp(&b[0]));
             rows
         };
-        assert_eq!(sort(pooled_rows), sort(seq_rows));
-        assert_eq!(io_pool.snapshot().partitions_loaded, 10);
+        const NEED: usize = 25;
+        for (engine, exec) in &engines {
+            for delivery in [
+                Delivery::Ordered { need: None },
+                Delivery::Ordered { need: Some(NEED) },
+                Delivery::Arrival,
+            ] {
+                let cell = format!("{engine} / {delivery:?}");
+                let survivors = Arc::new(Mutex::new(HashSet::new()));
+                let mut rows: Vec<Vec<Value>> = Vec::new();
+                let mut st = RunState::default();
+                let stats = exec.drive_scan(
+                    &scan,
+                    &mut st,
+                    Some((&boundary, 0)),
+                    delivery,
+                    rows_map(crate::BatchChain::identity(1), Some(Arc::clone(&survivors))),
+                    |(_, chunk)| rows.extend(chunk),
+                );
+                assert_eq!(
+                    stats.considered,
+                    stats.loaded + stats.skipped_by_boundary + stats.cancelled_in_flight(),
+                    "{cell}"
+                );
+                if let Delivery::Ordered { need: Some(_) } = delivery {
+                    // Early stop: how far past the limit the scan ran is
+                    // the engine's business; the prefix is not.
+                    assert_eq!(rows[..NEED], seq_rows[..NEED], "{cell}");
+                    continue;
+                }
+                assert_eq!(stats, seq_stats, "{cell}");
+                assert_eq!(*survivors.lock(), seq_parts, "{cell}");
+                match delivery {
+                    Delivery::Arrival => {
+                        assert_eq!(sorted(rows), sorted(seq_rows.clone()), "{cell}")
+                    }
+                    Delivery::Ordered { .. } => assert_eq!(rows, seq_rows, "{cell}"),
+                }
+            }
+        }
     }
 
     #[test]

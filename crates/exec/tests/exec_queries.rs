@@ -314,11 +314,11 @@ fn topk_aggregation_matches_baseline() {
         .schema()
         .clone();
     // GROUP BY num_sightings ORDER BY num_sightings DESC LIMIT 5 (7d shape).
-    let plan = PlanBuilder::scan("tracking_data", tracking)
-        .aggregate(vec!["num_sightings"], vec![AggFunc::CountStar])
-        .order_by("num_sightings", true)
-        .limit(5)
-        .build();
+    let grouped = || {
+        PlanBuilder::scan("tracking_data", tracking.clone())
+            .aggregate(vec!["num_sightings"], vec![AggFunc::CountStar])
+    };
+    let plan = grouped().order_by("num_sightings", true).limit(5).build();
     let (pruned, baseline) = run_both(&plan);
     assert_eq!(pruned.rows.rows, baseline.rows.rows);
     assert_eq!(
@@ -326,6 +326,18 @@ fn topk_aggregation_matches_baseline() {
         Some(snowprune_plan::TopKShape::AboveAggregation)
     );
     assert!(pruned.report.pruning.pruned_by_topk > 0);
+    // `detect_topk` classifies a Project between Sort and Aggregate (SQL:
+    // `SELECT COUNT(*), g … GROUP BY g ORDER BY g`) as the same shape, but
+    // the distinct-key path needs the Aggregate directly below the Sort.
+    // The query used to come back unsorted and unlimited.
+    let plan = grouped()
+        .project(vec!["num_sightings"])
+        .order_by("num_sightings", true)
+        .limit(5)
+        .build();
+    let (pruned, baseline) = run_both(&plan);
+    assert_eq!(baseline.rows.rows.len(), 5);
+    assert_eq!(pruned.rows.rows, baseline.rows.rows);
 }
 
 #[test]
