@@ -11,6 +11,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweak idiom
 
+use std::borrow::Borrow;
 use std::time::Instant;
 
 use snowprune_expr::{prune_eval, Expr};
@@ -382,8 +383,10 @@ impl FilterPruner {
 
     /// Compile-time pruning over a whole table's metadata, respecting the
     /// compile-time budget (§3.2: expensive pruning is deferred to the
-    /// highly parallel execution phase).
-    pub fn prune(&mut self, metas: &[PartitionMeta]) -> FilterPruneResult {
+    /// highly parallel execution phase). Takes owned or borrowed metadata
+    /// (`&[PartitionMeta]`, or the `Vec<&PartitionMeta>` a table snapshot
+    /// hands out).
+    pub fn prune<M: Borrow<PartitionMeta>>(&mut self, metas: &[M]) -> FilterPruneResult {
         let before = metas.len();
         let start = Instant::now();
         let mut entries = Vec::with_capacity(metas.len());
@@ -391,6 +394,7 @@ impl FilterPruner {
         let mut fully = 0usize;
         let mut deferred = 0usize;
         for meta in metas {
+            let meta: &PartitionMeta = meta.borrow();
             if (start.elapsed().as_nanos() as u64) > self.cfg.compile_time_budget_ns {
                 deferred += 1;
                 entries.push(ScanEntry {

@@ -16,13 +16,15 @@
 //! A row-level [`BloomFilter`] complements partition pruning inside the
 //! join operator, skipping hash-table probes for individual rows.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+use snowprune_storage::PartitionMeta;
 use snowprune_types::{Value, ZoneMap};
 
-use crate::scan_set::ScanSet;
+use crate::scan_set::{index_by_id, ScanSet};
 
 /// Build-side value summary for partition-level join pruning.
 #[derive(Clone, Debug)]
@@ -266,19 +268,21 @@ impl JoinPruneResult {
 }
 
 /// Prune a probe-side scan set using the build-side summary. `key_col` is
-/// the probe-side join key's column index.
-pub fn prune_probe_side(
+/// the probe-side join key's column index; `metas` may be in any order and
+/// owned or borrowed. An entry whose metadata is missing is kept.
+pub fn prune_probe_side<M: Borrow<PartitionMeta>>(
     summary: &JoinSummary,
     scan_set: &ScanSet,
-    metas: &[snowprune_storage::PartitionMeta],
+    metas: &[M],
     key_col: usize,
 ) -> JoinPruneResult {
     let before = scan_set.len();
+    let by_id = index_by_id(metas);
     let entries: Vec<_> = scan_set
         .entries
         .iter()
         .filter(|e| {
-            let Some(meta) = metas.iter().find(|m| m.id == e.id) else {
+            let Some(meta) = by_id.get(&e.id) else {
                 return true; // metadata unavailable: conservative
             };
             summary.might_overlap(&meta.zone_maps[key_col])
@@ -463,6 +467,87 @@ mod tests {
         assert_eq!(res.pruned, 8);
         assert!((res.pruning_ratio() - 0.8).abs() < 1e-9);
         assert!(res.summary_bytes > 0);
+    }
+
+    /// The per-entry linear search `prune_probe_side` used to do, kept as
+    /// the reference the indexed version must reproduce.
+    fn naive_prune_probe_side(
+        summary: &JoinSummary,
+        scan_set: &ScanSet,
+        metas: &[PartitionMeta],
+        key_col: usize,
+    ) -> Vec<ScanEntry> {
+        scan_set
+            .entries
+            .iter()
+            .filter(|e| match metas.iter().find(|m| m.id == e.id) {
+                Some(meta) => summary.might_overlap(&meta.zone_maps[key_col]),
+                None => true,
+            })
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn probe_side_pruning_equals_linear_reference_on_shuffled_metas() {
+        // 40 partitions; position p of the meta list holds id 7p mod 40, so
+        // ids are a permutation unrelated to position, and the scan set
+        // walks ids in yet another order.
+        let mut metas: Vec<PartitionMeta> = (0..40u64)
+            .map(|p| {
+                let id = p * 7 % 40;
+                PartitionMeta {
+                    id,
+                    row_count: 10,
+                    bytes: 100,
+                    zone_maps: vec![zm(0, 0), zm(id as i64 * 10, id as i64 * 10 + 9)],
+                }
+            })
+            .collect();
+        let ss = ScanSet {
+            entries: (0..40u64)
+                .map(|i| ScanEntry {
+                    id: i * 11 % 40,
+                    class: MatchClass::PartiallyMatching,
+                    row_count: 10,
+                    bytes: 100,
+                })
+                .collect(),
+        };
+        // Id 13's metadata is unavailable: it must survive every summary.
+        metas.retain(|m| m.id != 13);
+        let summaries = [
+            JoinSummary::build(&[], SummaryKind::MinMax),
+            JoinSummary::build(&ints(&[35, 212]), SummaryKind::MinMax),
+            JoinSummary::build(
+                &ints(&[5, 131, 139, 250, 399]),
+                SummaryKind::RangeSet { budget: 3 },
+            ),
+            JoinSummary::build(&ints(&[0, 77, 130, 390]), SummaryKind::Exact),
+        ];
+        for summary in &summaries {
+            let want = naive_prune_probe_side(summary, &ss, &metas, 1);
+            let owned = prune_probe_side(summary, &ss, &metas, 1);
+            assert_eq!(owned.scan_set.entries, want);
+            assert_eq!(owned.pruned, 40 - want.len());
+            assert_eq!(owned.partitions_before, 40);
+            assert!(owned.scan_set.ids().contains(&13), "missing meta is kept");
+            // Borrowed metadata (what a table snapshot hands out) is the
+            // same call.
+            let borrowed: Vec<&PartitionMeta> = metas.iter().collect();
+            assert_eq!(
+                prune_probe_side(summary, &ss, &borrowed, 1)
+                    .scan_set
+                    .entries,
+                want
+            );
+        }
+        // The summaries above do prune, and differently.
+        let kept: Vec<usize> = summaries
+            .iter()
+            .map(|s| prune_probe_side(s, &ss, &metas, 1).scan_set.len())
+            .collect();
+        assert_eq!(kept, vec![1, 19, 15, 4]);
     }
 
     #[test]

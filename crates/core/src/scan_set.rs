@@ -1,8 +1,25 @@
 //! Scan sets: the serialized list of micro-partitions a query plan ships to
 //! the virtual warehouse (§2 "Virtual Warehouses").
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
+
 use snowprune_storage::{PartitionId, PartitionMeta};
 use snowprune_types::MatchClass;
+
+/// Id → metadata over a metadata list in any order, built once per pruning
+/// call so that resolving a scan-set entry never searches the list. Like
+/// the linear search it replaces, the first meta of an id wins.
+pub(crate) fn index_by_id<M: Borrow<PartitionMeta>>(
+    metas: &[M],
+) -> HashMap<PartitionId, &PartitionMeta> {
+    let mut by_id = HashMap::with_capacity(metas.len());
+    for meta in metas {
+        let meta: &PartitionMeta = meta.borrow();
+        by_id.entry(meta.id).or_insert(meta);
+    }
+    by_id
+}
 
 /// One surviving partition in a scan set, annotated with its match class
 /// from filter pruning.
@@ -27,15 +44,18 @@ pub struct ScanSet {
 
 impl ScanSet {
     /// An unpruned scan set covering all partitions.
-    pub fn full(metas: &[PartitionMeta]) -> Self {
+    pub fn full<M: Borrow<PartitionMeta>>(metas: &[M]) -> Self {
         ScanSet {
             entries: metas
                 .iter()
-                .map(|m| ScanEntry {
-                    id: m.id,
-                    class: MatchClass::PartiallyMatching,
-                    row_count: m.row_count,
-                    bytes: m.bytes,
+                .map(|m| {
+                    let m: &PartitionMeta = m.borrow();
+                    ScanEntry {
+                        id: m.id,
+                        class: MatchClass::PartiallyMatching,
+                        row_count: m.row_count,
+                        bytes: m.bytes,
+                    }
                 })
                 .collect(),
         }

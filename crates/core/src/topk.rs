@@ -7,6 +7,7 @@
 //! NULL ordering key never enter the heap, so partitions whose ordering
 //! column is entirely NULL can be skipped outright.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -16,7 +17,7 @@ use parking_lot::RwLock;
 use snowprune_storage::PartitionMeta;
 use snowprune_types::{KeyValue, MatchClass, Value, ZoneMap};
 
-use crate::scan_set::ScanSet;
+use crate::scan_set::{index_by_id, ScanEntry, ScanSet};
 
 /// The shared pruning boundary: the k-th best ORDER BY value seen so far.
 /// Shared between the TopK operator and table scans ("passing information
@@ -317,15 +318,16 @@ pub enum PartitionOrder {
     FullyMatchingFirst,
 }
 
-/// Reorder a scan set in place for top-k processing.
-pub fn order_scan_set(
+/// Reorder a scan set in place for top-k processing. `metas` may be in any
+/// order and owned or borrowed; an entry whose metadata is missing sorts as
+/// unbounded.
+pub fn order_scan_set<M: Borrow<PartitionMeta>>(
     scan_set: &mut ScanSet,
-    metas: &[PartitionMeta],
+    metas: &[M],
     order_col: usize,
     desc: bool,
     strategy: PartitionOrder,
 ) {
-    let find = |id: u64| metas.iter().find(|m| m.id == id);
     match strategy {
         PartitionOrder::Unsorted => {}
         PartitionOrder::Random { seed } => {
@@ -345,7 +347,20 @@ pub fn order_scan_set(
         }
         PartitionOrder::ByBoundary | PartitionOrder::FullyMatchingFirst => {
             let fm_first = strategy == PartitionOrder::FullyMatchingFirst;
-            scan_set.entries.sort_by(|a, b| {
+            let by_id = index_by_id(metas);
+            // Decorate–sort–undecorate: each entry's bound is resolved once,
+            // by reference, not once per comparison.
+            let mut keyed: Vec<(Option<&Value>, ScanEntry)> = std::mem::take(&mut scan_set.entries)
+                .into_iter()
+                .map(|e| {
+                    let bound = by_id.get(&e.id).and_then(|m| {
+                        let zm = &m.zone_maps[order_col];
+                        if desc { &zm.max } else { &zm.min }.as_ref()
+                    });
+                    (bound, e)
+                })
+                .collect();
+            keyed.sort_by(|(ba, a), (bb, b)| {
                 if fm_first {
                     let fa = a.class == MatchClass::FullyMatching;
                     let fb = b.class == MatchClass::FullyMatching;
@@ -353,26 +368,18 @@ pub fn order_scan_set(
                         return fb.cmp(&fa);
                     }
                 }
-                let bound = |id: u64| -> Option<Value> {
-                    let zm = &find(id)?.zone_maps[order_col];
-                    if desc {
-                        zm.max.clone()
-                    } else {
-                        zm.min.clone()
-                    }
-                };
-                let (ba, bb) = (bound(a.id), bound(b.id));
                 match (ba, bb) {
                     // Unbounded (None) sorts first: it may hold anything.
                     (None, None) => a.id.cmp(&b.id),
                     (None, Some(_)) => Ordering::Less,
                     (Some(_), None) => Ordering::Greater,
                     (Some(x), Some(y)) => {
-                        let ord = x.total_ord_cmp(&y);
+                        let ord = x.total_ord_cmp(y);
                         if desc { ord.reverse() } else { ord }.then(a.id.cmp(&b.id))
                     }
                 }
             });
+            scan_set.entries = keyed.into_iter().map(|(_, e)| e).collect();
         }
     }
 }
@@ -386,19 +393,20 @@ pub fn order_scan_set(
 /// * sort fully-matching partitions by min (descending for DESC), take the
 ///   min of the first partition at which the cumulative non-null row count
 ///   reaches `k` — all those rows are qualifying and at least that min.
-pub fn initial_boundary(
+pub fn initial_boundary<M: Borrow<PartitionMeta>>(
     scan_set: &ScanSet,
-    metas: &[PartitionMeta],
+    metas: &[M],
     order_col: usize,
     k: u64,
     desc: bool,
 ) -> Option<Value> {
-    if k == 0 {
+    if k == 0 || scan_set.fully_matching().next().is_none() {
         return None;
     }
+    let by_id = index_by_id(metas);
     let fm_maps: Vec<&ZoneMap> = scan_set
         .fully_matching()
-        .filter_map(|e| metas.iter().find(|m| m.id == e.id))
+        .filter_map(|e| by_id.get(&e.id))
         .map(|m| &m.zone_maps[order_col])
         .collect();
     if fm_maps.is_empty() {
@@ -652,6 +660,185 @@ mod tests {
         order_scan_set(&mut b, &metas, 0, true, PartitionOrder::Random { seed: 9 });
         assert_eq!(a.ids(), b.ids());
         assert_ne!(a.ids(), (0..20).collect::<Vec<_>>());
+    }
+
+    /// `order_scan_set` as it was before it indexed `metas`: a linear
+    /// search and two cloned bounds per comparison. Kept as the reference.
+    fn naive_order_scan_set(
+        scan_set: &mut ScanSet,
+        metas: &[PartitionMeta],
+        order_col: usize,
+        desc: bool,
+        fm_first: bool,
+    ) {
+        let bound = |id: u64| -> Option<Value> {
+            let zm = &metas.iter().find(|m| m.id == id)?.zone_maps[order_col];
+            if desc {
+                zm.max.clone()
+            } else {
+                zm.min.clone()
+            }
+        };
+        scan_set.entries.sort_by(|a, b| {
+            if fm_first {
+                let fa = a.class == MatchClass::FullyMatching;
+                let fb = b.class == MatchClass::FullyMatching;
+                if fa != fb {
+                    return fb.cmp(&fa);
+                }
+            }
+            match (bound(a.id), bound(b.id)) {
+                (None, None) => a.id.cmp(&b.id),
+                (None, Some(_)) => Ordering::Less,
+                (Some(_), None) => Ordering::Greater,
+                (Some(x), Some(y)) => {
+                    let ord = x.total_ord_cmp(&y);
+                    if desc { ord.reverse() } else { ord }.then(a.id.cmp(&b.id))
+                }
+            }
+        });
+    }
+
+    fn naive_initial_boundary(
+        scan_set: &ScanSet,
+        metas: &[PartitionMeta],
+        order_col: usize,
+        k: u64,
+        desc: bool,
+    ) -> Option<Value> {
+        if k == 0 {
+            return None;
+        }
+        let fm_maps: Vec<&ZoneMap> = scan_set
+            .fully_matching()
+            .filter_map(|e| metas.iter().find(|m| m.id == e.id))
+            .map(|m| &m.zone_maps[order_col])
+            .collect();
+        match (
+            kth_exact_extremum(&fm_maps, k, desc),
+            cumulative_bound(&fm_maps, k, desc),
+        ) {
+            (Some(a), Some(b)) => Some(stricter(a, b, desc)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// 48 partitions whose ids are a permutation unrelated to their
+    /// position in the meta list, with tied bounds, two unbounded zone
+    /// maps and a mix of match classes; the scan set walks the ids in a
+    /// third order and names one id (29) whose metadata is missing.
+    fn shuffled_fixture() -> (Vec<PartitionMeta>, ScanSet) {
+        let mut metas: Vec<PartitionMeta> = (0..48u64)
+            .map(|p| {
+                let id = p * 11 % 48;
+                let lo = (id as i64 * 37) % 23; // many ties
+                let mut m = meta(id, lo, lo + (id as i64 % 5) * 4, 6);
+                if id % 17 == 3 {
+                    m.zone_maps[0].max = None; // truncation carry
+                    m.zone_maps[0].max_exact = false;
+                }
+                if id % 19 == 4 {
+                    m.zone_maps[0].min = None;
+                    m.zone_maps[0].min_exact = false;
+                }
+                m
+            })
+            .collect();
+        let order: Vec<u64> = (0..48u64).map(|i| i * 5 % 48).collect();
+        let classes: Vec<MatchClass> = order
+            .iter()
+            .map(|id| {
+                if id % 3 == 0 {
+                    MatchClass::FullyMatching
+                } else {
+                    MatchClass::PartiallyMatching
+                }
+            })
+            .collect();
+        let by_id = |id: u64| metas.iter().find(|m| m.id == id).unwrap().clone();
+        let in_scan_order: Vec<PartitionMeta> = order.iter().map(|&id| by_id(id)).collect();
+        let ss = scan_set_for(&in_scan_order, &classes);
+        metas.retain(|m| m.id != 29);
+        (metas, ss)
+    }
+
+    #[test]
+    fn ordering_equals_linear_reference_on_shuffled_metas() {
+        let (metas, ss) = shuffled_fixture();
+        let borrowed: Vec<&PartitionMeta> = metas.iter().collect();
+        for desc in [true, false] {
+            for strategy in [
+                PartitionOrder::Unsorted,
+                PartitionOrder::Random { seed: 5 },
+                PartitionOrder::ByBoundary,
+                PartitionOrder::FullyMatchingFirst,
+            ] {
+                let mut want = ss.clone();
+                match strategy {
+                    PartitionOrder::Unsorted => {}
+                    // The shuffle never looked at metadata: its reference
+                    // is the same call over a metadata-free list.
+                    PartitionOrder::Random { .. } => {
+                        order_scan_set::<PartitionMeta>(&mut want, &[], 0, desc, strategy)
+                    }
+                    PartitionOrder::ByBoundary => {
+                        naive_order_scan_set(&mut want, &metas, 0, desc, false)
+                    }
+                    PartitionOrder::FullyMatchingFirst => {
+                        naive_order_scan_set(&mut want, &metas, 0, desc, true)
+                    }
+                }
+                let mut owned = ss.clone();
+                order_scan_set(&mut owned, &metas, 0, desc, strategy);
+                assert_eq!(owned, want, "{strategy:?} desc={desc}");
+                let mut from_refs = ss.clone();
+                order_scan_set(&mut from_refs, &borrowed, 0, desc, strategy);
+                assert_eq!(from_refs, want, "{strategy:?} desc={desc} (borrowed)");
+                let mut sorted_ids = owned.ids();
+                sorted_ids.sort_unstable();
+                assert_eq!(sorted_ids, (0..48).collect::<Vec<_>>(), "a permutation");
+            }
+        }
+        // The fixture is not degenerate: the two sorts differ from each
+        // other and from the input, and the missing meta sorts as unbounded.
+        let sorted = |strategy| {
+            let mut s = ss.clone();
+            order_scan_set(&mut s, &metas, 0, true, strategy);
+            s.ids()
+        };
+        let (by_bound, fm_first) = (
+            sorted(PartitionOrder::ByBoundary),
+            sorted(PartitionOrder::FullyMatchingFirst),
+        );
+        assert_ne!(by_bound, ss.ids());
+        assert_ne!(by_bound, fm_first);
+        assert_eq!(by_bound[..4], [3, 20, 29, 37], "unbounded maxes, by id");
+    }
+
+    #[test]
+    fn initial_boundary_equals_linear_reference_on_shuffled_metas() {
+        let (metas, ss) = shuffled_fixture();
+        let borrowed: Vec<&PartitionMeta> = metas.iter().collect();
+        let mut seen = std::collections::BTreeSet::new();
+        for desc in [true, false] {
+            for k in [0u64, 1, 2, 7, 40, 90, 91, 1_000] {
+                let want = naive_initial_boundary(&ss, &metas, 0, k, desc);
+                assert_eq!(
+                    initial_boundary(&ss, &metas, 0, k, desc),
+                    want,
+                    "k={k} desc={desc}"
+                );
+                assert_eq!(initial_boundary(&ss, &borrowed, 0, k, desc), want);
+                seen.insert(want.map(KeyValue));
+            }
+        }
+        assert!(seen.len() > 4, "several distinct bounds and None: {seen:?}");
+        // No fully-matching entry: nothing to seed from, whatever the metas.
+        let mut none_fm = ss.clone();
+        for e in &mut none_fm.entries {
+            e.class = MatchClass::PartiallyMatching;
+        }
+        assert_eq!(initial_boundary(&none_fm, &metas, 0, 1, true), None);
     }
 
     #[test]

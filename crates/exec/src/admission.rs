@@ -265,6 +265,8 @@ pub(crate) fn run_admitted(session: &Session, arrivals: &[(TenantId, Plan)]) -> 
     let mut tenants: Vec<TenantSched> = Vec::new();
     let mut outcomes: Vec<Option<Admission>> = Vec::with_capacity(arrivals.len());
     for (global, (tenant, _plan)) in arrivals.iter().enumerate() {
+        // LINEAR-OK: once per arrival (not per partition), over the burst's
+        // distinct tenants — at most the arrival count.
         let idx = match tenants.iter().position(|t| t.id == *tenant) {
             Some(idx) => idx,
             None => {

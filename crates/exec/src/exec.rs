@@ -36,7 +36,7 @@ use snowprune_plan::{
     detect_topk, fingerprint, limit_pushdown, predicate_column_names, shape_signature, AggFunc,
     FingerprintMode, JoinType, LimitPushdown, Plan, SortKey, TopKShape, TopKSpec,
 };
-use snowprune_storage::{Catalog, IoSnapshot, IoStats, PartitionId, PartitionMeta, Schema, Table};
+use snowprune_storage::{Catalog, IoSnapshot, IoStats, PartitionId, Schema, Table};
 use snowprune_types::{Error, Result, Value};
 
 use crate::agg::{aggregate_rows, DistinctKeyTopK};
@@ -596,7 +596,7 @@ impl Executor {
         filter_pruning: bool,
         st: &mut RunState,
     ) -> Result<CompiledScan> {
-        let snapshot = Arc::new(self.catalog.get(table)?.read().clone());
+        let snapshot = snapshot_table(&self.catalog, table)?;
         let scan = CompiledScan::compile(
             table,
             snapshot,
@@ -1086,7 +1086,7 @@ impl Executor {
             .filter(|(spec, _)| scan.table_name == spec.target_table)
             .and_then(|(spec, b)| Some((spec, b, scan.schema.index_of(&spec.order_column).ok()?)));
         if join.is_some() || topk.is_some() {
-            let metas: Vec<PartitionMeta> = scan.table.metadata().into_iter().cloned().collect();
+            let metas = scan.table.metadata();
             if let Some((summary, key_idx)) = join {
                 let res = prune_probe_side(summary, &scan.scan_set, &metas, key_idx);
                 st.report.pruning.pruned_by_join += res.pruned as u64;
@@ -1729,7 +1729,9 @@ fn has_predicate(plan: &Plan) -> bool {
     found
 }
 
-/// Convenience: snapshot a table out of a catalog (test helper).
+/// Snapshot a table out of a catalog: the table's current version, which
+/// shares its immutable partition list with the live table (O(1), see
+/// [`Table`]) and is unaffected by later DML.
 pub fn snapshot_table(catalog: &Catalog, name: &str) -> Result<Arc<Table>> {
     Ok(Arc::new(catalog.get(name)?.read().clone()))
 }

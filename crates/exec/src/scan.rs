@@ -76,7 +76,7 @@ impl CompiledScan {
     ) -> Result<CompiledScan> {
         let schema = table.schema().clone();
         let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
-        let metas: Vec<PartitionMeta> = table.read_metadata(io, io_cost);
+        let metas = table.read_metadata(io, io_cost);
         let partitions_total = metas.len();
         let (scan_set, pruned, fully, deferred_ids) = match (&bound, enable_filter_pruning) {
             (Some(pred), true) => {

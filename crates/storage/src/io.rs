@@ -160,10 +160,17 @@ impl IoStats {
 
     /// Record one zone-map/metadata read.
     pub fn record_metadata_read(&self, model: &IoCostModel) {
-        self.inner.metadata_reads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .simulated_io_ns
-            .fetch_add(model.metadata_ns_per_read, Ordering::Relaxed);
+        self.record_metadata_reads(1, model);
+    }
+
+    /// Record `n` metadata reads in one step; the counters end up exactly
+    /// where `n` calls of [`IoStats::record_metadata_read`] leave them.
+    pub fn record_metadata_reads(&self, n: u64, model: &IoCostModel) {
+        self.inner.metadata_reads.fetch_add(n, Ordering::Relaxed);
+        self.inner.simulated_io_ns.fetch_add(
+            n.wrapping_mul(model.metadata_ns_per_read),
+            Ordering::Relaxed,
+        );
     }
 
     /// Record one completed partition load of `bytes` bytes.
@@ -229,6 +236,25 @@ mod tests {
         assert_eq!(s.partitions_loaded, 2);
         assert_eq!(s.bytes_loaded, 3_000_000);
         assert!(s.simulated_io_ns > 2 * model.latency_ns_per_request);
+    }
+
+    #[test]
+    fn batched_metadata_reads_equal_single_reads() {
+        let model = IoCostModel::default();
+        for n in [0u64, 1, 7, 8_000] {
+            let (one_by_one, batched) = (IoStats::new(), IoStats::new());
+            // Both start from the same non-zero state.
+            for io in [&one_by_one, &batched] {
+                io.record_partition_load(1_000, &model);
+                io.record_cpu(5);
+            }
+            for _ in 0..n {
+                one_by_one.record_metadata_read(&model);
+            }
+            batched.record_metadata_reads(n, &model);
+            assert_eq!(one_by_one.snapshot(), batched.snapshot(), "n = {n}");
+            assert_eq!(batched.snapshot().metadata_reads, n);
+        }
     }
 
     #[test]

@@ -98,7 +98,8 @@ impl TableBuilder {
         let mut table = Table {
             name,
             schema,
-            partitions: Vec::new(),
+            partitions: Arc::default(),
+            slots: Arc::default(),
             version: 0,
             next_partition_id: 0,
             string_prefix,
@@ -147,13 +148,29 @@ fn apply_layout(rows: &mut [Vec<Value>], schema: &Schema, layout: &Layout) {
     }
 }
 
+/// `Table::slots` entry of an id whose partition was rewritten away.
+const NO_SLOT: u32 = u32::MAX;
+
 /// A table: schema + micro-partitions. DML operations bump `version` and
 /// report which partitions changed, which the predicate cache consumes.
+///
+/// A table version is a list of immutable partitions (§2), so `clone()` is
+/// a *snapshot*: it shares the partition list and the id index with its
+/// source (two `Arc` bumps, whatever the partition count) and keeps seeing
+/// exactly those partitions; DML on either side copies the list on its
+/// first write and leaves the other untouched.
 #[derive(Clone, Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    partitions: Vec<Arc<MicroPartition>>,
+    /// The current version's partitions in table order. **Not** sorted by
+    /// id: a rewritten partition's new, higher id takes the old position.
+    partitions: Arc<Vec<Arc<MicroPartition>>>,
+    /// Partition id → position in `partitions`, one entry per id ever
+    /// issued (`slots.len() == next_partition_id`; ids come from that
+    /// counter, so the index is dense). Invariant: `slots[id] == pos`
+    /// exactly when `partitions[pos].meta.id == id`, else `NO_SLOT`.
+    slots: Arc<Vec<u32>>,
     version: u64,
     next_partition_id: u64,
     string_prefix: usize,
@@ -171,6 +188,16 @@ pub struct DmlResult {
     pub partitions_removed: Vec<PartitionId>,
     /// Table version after the statement.
     pub new_version: u64,
+}
+
+/// What a DML row visitor decides for one row.
+enum RowEdit {
+    /// Unchanged: the row already materialized for the visit is reused.
+    Keep,
+    /// Deleted.
+    Drop,
+    /// Replaced by a row that differs in at least one cell.
+    Replace(Vec<Value>),
 }
 
 impl Table {
@@ -205,15 +232,11 @@ impl Table {
     }
 
     /// Read partition metadata through the metadata service, charging one
-    /// metadata read per partition.
-    pub fn read_metadata(&self, io: &IoStats, model: &IoCostModel) -> Vec<PartitionMeta> {
-        self.partitions
-            .iter()
-            .map(|p| {
-                io.record_metadata_read(model);
-                p.meta.clone()
-            })
-            .collect()
+    /// metadata read per partition. The metadata itself is borrowed from
+    /// this snapshot — partitions are immutable, nothing is copied.
+    pub fn read_metadata(&self, io: &IoStats, model: &IoCostModel) -> Vec<&PartitionMeta> {
+        io.record_metadata_reads(self.partitions.len() as u64, model);
+        self.metadata()
     }
 
     /// Metadata access without I/O accounting (for tests and planning code
@@ -245,15 +268,23 @@ impl Table {
         self.find(id).map(Arc::clone)
     }
 
+    /// O(1) through the id index. The hit is re-checked against the
+    /// partition's own id, so a rewritten-away or never-issued id is
+    /// `NotFound` rather than whatever sits at a stale slot.
     fn find(&self, id: PartitionId) -> Result<&Arc<MicroPartition>> {
-        self.partitions
-            .iter()
-            .find(|p| p.meta.id == id)
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| self.slots.get(i))
+            .and_then(|&slot| self.partitions.get(slot as usize))
+            .filter(|p| p.meta.id == id)
             .ok_or_else(|| Error::NotFound(format!("partition {id} of table {}", self.name)))
     }
 
     fn append_partitions(&mut self, rows: Vec<Vec<Value>>) -> Vec<PartitionId> {
         let mut added = Vec::new();
+        // Copy-on-write: a no-op unless a snapshot still shares the lists.
+        let partitions = Arc::make_mut(&mut self.partitions);
+        let slots = Arc::make_mut(&mut self.slots);
         for chunk in rows.chunks(self.target_rows_per_partition) {
             if chunk.is_empty() {
                 continue;
@@ -266,6 +297,12 @@ impl Table {
                 .collect();
             for row in chunk {
                 for (b, v) in builders.iter_mut().zip(row.iter()) {
+                    // Keep the clone. Consuming `rows` and moving each cell
+                    // in halves build time, but a column's strings then keep
+                    // the row-major heap addresses they were born with
+                    // instead of being allocated back to back here, which
+                    // measured 2× slower DML and slower SELECTs on the TPC-H
+                    // lake (`tpch_cpu` `dml_p50_ms` 7.5–9 → 15–17 ms).
                     b.push(v.clone());
                 }
             }
@@ -280,9 +317,20 @@ impl Table {
                 self.string_prefix,
             );
             added.push(id);
-            self.partitions.push(Arc::new(p));
+            slots.push(partitions.len() as u32);
+            partitions.push(Arc::new(p));
         }
         added
+    }
+
+    /// Recompute the id index from the partition list (after a rewrite
+    /// moved, dropped or replaced partitions).
+    fn rebuild_slots(&mut self) {
+        let mut slots = vec![NO_SLOT; self.next_partition_id as usize];
+        for (pos, p) in self.partitions.iter().enumerate() {
+            slots[p.meta.id as usize] = pos as u32;
+        }
+        self.slots = Arc::new(slots);
     }
 
     /// INSERT: append rows as new micro-partitions (immutable partitions,
@@ -302,7 +350,13 @@ impl Table {
     /// DELETE rows matching `pred`; affected partitions are rewritten
     /// (copy-on-write, preserving partition immutability).
     pub fn delete_rows(&mut self, pred: impl Fn(&[Value]) -> bool) -> DmlResult {
-        self.rewrite_rows(|row| if pred(row) { None } else { Some(row.to_vec()) })
+        self.rewrite_rows(|row| {
+            if pred(row) {
+                RowEdit::Drop
+            } else {
+                RowEdit::Keep
+            }
+        })
     }
 
     /// UPDATE: apply `f` to each row; `f` returns the new row.
@@ -333,8 +387,10 @@ impl Table {
             }
             if any {
                 changed_rows += 1;
+                RowEdit::Replace(new)
+            } else {
+                RowEdit::Keep
             }
-            Some(new)
         });
         let changed_columns = self
             .schema
@@ -353,25 +409,30 @@ impl Table {
         )
     }
 
-    fn rewrite_rows(&mut self, mut f: impl FnMut(&[Value]) -> Option<Vec<Value>>) -> DmlResult {
+    /// Copy-on-write rewrite: every partition holding a row `f` drops or
+    /// replaces is rebuilt under a fresh id *at the old position*; the
+    /// others are carried over as they are.
+    fn rewrite_rows(&mut self, mut f: impl FnMut(&[Value]) -> RowEdit) -> DmlResult {
         let mut removed = Vec::new();
         let mut added = Vec::new();
         let mut affected = 0u64;
-        let old = std::mem::take(&mut self.partitions);
+        // Take the list over when no snapshot shares it, copy it otherwise.
+        let old = Arc::try_unwrap(std::mem::take(&mut self.partitions))
+            .unwrap_or_else(|shared| shared.to_vec());
+        Arc::make_mut(&mut self.partitions).reserve(old.len());
         for p in old {
             let mut new_rows = Vec::with_capacity(p.row_count());
             let mut dirty = false;
             for i in 0..p.row_count() {
                 let row = p.row(i);
                 match f(&row) {
-                    Some(new) => {
-                        if new != row {
-                            dirty = true;
-                            affected += 1;
-                        }
+                    RowEdit::Keep => new_rows.push(row),
+                    RowEdit::Replace(new) => {
+                        dirty = true;
+                        affected += 1;
                         new_rows.push(new);
                     }
-                    None => {
+                    RowEdit::Drop => {
                         dirty = true;
                         affected += 1;
                     }
@@ -381,9 +442,10 @@ impl Table {
                 removed.push(p.meta.id);
                 added.extend(self.append_partitions(new_rows));
             } else {
-                self.partitions.push(p);
+                Arc::make_mut(&mut self.partitions).push(p);
             }
         }
+        self.rebuild_slots();
         self.version += 1;
         DmlResult {
             rows_affected: affected,
@@ -512,6 +574,137 @@ mod tests {
         assert_eq!(res.rows_affected, 0);
         assert!(cols.is_empty());
         assert!(res.partitions_removed.is_empty());
+    }
+
+    #[test]
+    fn rewritten_partition_keeps_its_position_under_a_higher_id() {
+        let mut t = build(Layout::ClusterBy(vec!["k".into()]), 25);
+        assert_eq!(t.partition_ids(), vec![0, 1, 2, 3]);
+        // Key 30 lives in the second partition only.
+        let res = t.delete_rows(|row| row[0] == Value::Int(30));
+        assert_eq!(res.partitions_removed, vec![1]);
+        assert_eq!(res.partitions_added, vec![4]);
+        // Not sorted by id: the index, not a binary search, resolves these.
+        assert_eq!(t.partition_ids(), vec![0, 4, 2, 3]);
+        for (pos, id) in t.partition_ids().into_iter().enumerate() {
+            assert_eq!(t.partition(id).unwrap().meta.id, id);
+            assert!(std::ptr::eq(
+                t.partition_meta(id).unwrap(),
+                t.metadata()[pos]
+            ));
+        }
+        assert_eq!(t.partition(4).unwrap().row_count(), 24);
+        // The retired id, the next id to be issued, and a wild one.
+        for id in [1, 5, u64::MAX] {
+            assert!(matches!(t.partition(id), Err(Error::NotFound(_))), "{id}");
+            assert!(t
+                .load_partition(id, &IoStats::new(), &IoCostModel::free())
+                .is_err());
+        }
+        // Emptying a partition drops its position; later ones move up.
+        let res = t.delete_rows(|row| matches!(row[0], Value::Int(k) if k < 23));
+        assert_eq!(res.partitions_removed, vec![0]);
+        assert!(res.partitions_added.is_empty());
+        assert_eq!(t.partition_ids(), vec![4, 2, 3]);
+        assert!(t.partition(0).is_err());
+        assert_eq!(t.partition(2).unwrap().meta.id, 2);
+    }
+
+    #[test]
+    fn snapshot_is_isolated_from_later_dml() {
+        let mut live = build(Layout::ClusterBy(vec!["k".into()]), 25);
+        let snap = Arc::new(live.clone());
+        let ids = snap.partition_ids();
+        let counts = |t: &Table, ids: &[PartitionId]| -> Vec<Option<usize>> {
+            ids.iter()
+                .map(|&id| t.partition(id).ok().map(|p| p.row_count()))
+                .collect()
+        };
+        assert_eq!(counts(&snap, &ids), vec![Some(25); 4]);
+
+        let del = live.delete_rows(|row| row[0] == Value::Int(30));
+        let ins = live.insert_rows(vec![vec![Value::Int(1), Value::Str("x".into())]]);
+        let (upd, _) = live.update_rows_tracked(|row| {
+            let mut r = row.to_vec();
+            if r[0] == Value::Int(80) {
+                r[1] = Value::Str("updated".into());
+            }
+            r
+        });
+        assert_eq!(del.partitions_removed, vec![1]);
+        assert_eq!(upd.partitions_removed, vec![3]);
+
+        // The snapshot still is version 0: old ids, old row counts, and no
+        // trace of the partitions the statements added.
+        assert_eq!(snap.version(), 0);
+        assert_eq!(snap.partition_ids(), ids);
+        assert_eq!(counts(&snap, &ids), vec![Some(25); 4]);
+        assert_eq!(snap.total_rows(), 100);
+        for id in del
+            .partitions_added
+            .iter()
+            .chain(&ins.partitions_added)
+            .chain(&upd.partitions_added)
+        {
+            assert!(snap.partition(*id).is_err(), "snapshot must not see {id}");
+        }
+        // The live table resolves the new ids and not the rewritten ones.
+        assert_eq!(live.version(), 3);
+        assert_eq!(live.partition_ids(), vec![0, 4, 2, 6, 5]);
+        assert_eq!(
+            counts(&live, &ids),
+            vec![Some(25), None, Some(25), None],
+            "rewritten ids are gone from the live table"
+        );
+        assert_eq!(counts(&live, &[4, 5, 6]), vec![Some(24), Some(1), Some(25)]);
+    }
+
+    #[test]
+    fn clone_shares_storage_until_the_first_write() {
+        let source = build(Layout::Natural, 10);
+        let mut copy = source.clone();
+        assert!(Arc::ptr_eq(&source.partitions, &copy.partitions));
+        assert!(Arc::ptr_eq(&source.slots, &copy.slots));
+        // A statement that changes nothing still is a write (new version).
+        copy.delete_rows(|_| false);
+        assert!(!Arc::ptr_eq(&source.partitions, &copy.partitions));
+        assert!(!Arc::ptr_eq(&source.slots, &copy.slots));
+        assert_eq!(source.version(), 0);
+        assert_eq!(source.partition_ids(), copy.partition_ids());
+        // The partitions themselves are immutable and stay shared.
+        assert!(Arc::ptr_eq(
+            &source.partition(3).unwrap(),
+            &copy.partition(3).unwrap()
+        ));
+        // INSERT copies on write as well.
+        let mut copy = source.clone();
+        copy.insert_rows(vec![vec![Value::Int(1), Value::Str("x".into())]]);
+        assert!(!Arc::ptr_eq(&source.partitions, &copy.partitions));
+        assert_eq!(source.partition_count() + 1, copy.partition_count());
+        assert!(source.partition(10).is_err());
+        assert!(copy.partition(10).is_ok());
+    }
+
+    #[test]
+    fn nan_rows_are_kept_not_rewritten() {
+        let schema = Schema::new(vec![Field::new("f", ScalarType::Float)]);
+        let mut b = TableBuilder::new("t", schema).target_rows_per_partition(2);
+        for f in [f64::NAN, 1.0, 2.0, 3.0] {
+            b.push_row(vec![Value::Float(f)]);
+        }
+        let mut t = b.build();
+        // `Value` equality is the total order, so NaN == NaN: an identity
+        // update touches nothing.
+        let (res, cols) = t.update_rows_tracked(|row| row.to_vec());
+        assert_eq!(res.rows_affected, 0);
+        assert!(res.partitions_removed.is_empty() && cols.is_empty());
+        // A delete next to the NaN row carries it over unchanged.
+        let res = t.delete_rows(|row| row[0] == Value::Float(1.0));
+        assert_eq!(
+            (res.partitions_removed, res.partitions_added),
+            (vec![0], vec![2])
+        );
+        assert!(matches!(t.partition(2).unwrap().row(0)[0], Value::Float(f) if f.is_nan()));
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!    poisoning semantics carry a `// STD-SYNC-OK: <reason>` waiver.
 //! 4. **Crate attributes** — every crate forbids `unsafe_code`, and the
 //!    public-API crates warn on `missing_docs`.
+//! 5. **No linear id search on the scan path** — a `.find(|..|)` /
+//!    `.position(|..|)` closure comparing an `.id` in `crates/storage`,
+//!    `crates/core` or `crates/exec` non-test code needs a
+//!    `// LINEAR-OK: <bound>` waiver; partition ids resolve through
+//!    `Table`'s index or a map built once per call.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -40,6 +45,7 @@ fn lint() -> ExitCode {
     lint_knob_registry(&root, &mut violations);
     lint_std_sync(&root, &mut violations);
     lint_crate_attributes(&root, &mut violations);
+    lint_no_linear_id_search(&root, &mut violations);
     if violations.is_empty() {
         println!("xtask lint: ok");
         ExitCode::SUCCESS
@@ -403,6 +409,82 @@ fn lint_crate_attributes(root: &Path, violations: &mut Vec<String>) {
     }
 }
 
+/// Lint 5: no per-id linear search in storage/core/exec non-test code. A
+/// scan resolves thousands of partition ids; each `iter().find(|m| m.id ==
+/// id)` made it quadratic in the partition count.
+fn lint_no_linear_id_search(root: &Path, violations: &mut Vec<String>) {
+    for dir in ["crates/storage/src", "crates/core/src", "crates/exec/src"] {
+        for file in rust_files(&root.join(dir)) {
+            let src = read(&file);
+            let mask = test_region_mask(&src);
+            let lines: Vec<&str> = src.lines().collect();
+            for i in 0..lines.len() {
+                if mask.get(i).copied().unwrap_or(false) {
+                    continue;
+                }
+                if linear_id_search_at(&lines, i) && !waived(&lines, i, "LINEAR-OK:") {
+                    violations.push(format!(
+                        "{}:{}: linear search for an id; resolve it through an index (or add \
+                         `// LINEAR-OK: <bound>` if the list is provably short)",
+                        rel(root, &file),
+                        i + 1
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// Does a `.find(|` / `.position(|` call opening on `lines[i]` compare an
+/// `.id` for equality inside its closure? The closure is read up to the
+/// call's closing parenthesis, over at most a handful of lines.
+fn linear_id_search_at(lines: &[&str], i: usize) -> bool {
+    let code = strip_comment(lines[i]);
+    for opener in [".find(|", ".position(|"] {
+        let mut from = 0;
+        while let Some(j) = code[from..].find(opener) {
+            let start = from + j + opener.len() - 1;
+            let mut closure = String::new();
+            let mut depth = 1i64;
+            let first = std::iter::once(&code[start..]);
+            let rest = lines[i + 1..].iter().take(8).map(|l| strip_comment(l));
+            'call: for text in first.chain(rest) {
+                for c in text.chars() {
+                    match c {
+                        '(' => depth += 1,
+                        ')' => depth -= 1,
+                        _ => {}
+                    }
+                    if depth == 0 {
+                        break 'call;
+                    }
+                    closure.push(c);
+                }
+                closure.push(' ');
+            }
+            if compares_an_id(&closure) {
+                return true;
+            }
+            from = start;
+        }
+    }
+    false
+}
+
+/// `<..>.id == <..>` or `<..> == <..>.id` somewhere in `code`.
+fn compares_an_id(code: &str) -> bool {
+    let is_path = |c: char| c.is_alphanumeric() || c == '_' || c == '.';
+    code.match_indices("==").any(|(at, _)| {
+        let lhs = code[..at].trim_end();
+        let rhs: String = code[at + 2..]
+            .trim_start()
+            .chars()
+            .take_while(|c| is_path(*c))
+            .collect();
+        lhs.ends_with(".id") || rhs.ends_with(".id")
+    })
+}
+
 /// Every `.rs` file in the workspace's own source trees (crates, the root
 /// facade, examples, integration tests, benches, xtask).
 fn workspace_sources(root: &Path) -> Vec<PathBuf> {
@@ -443,6 +525,44 @@ mod tests {
     }
 
     #[test]
+    fn linear_id_search_rule_matches_the_four_historic_sites() {
+        // The shapes deleted from table.rs, join.rs and topk.rs.
+        for hit in [
+            "            .find(|p| p.meta.id == id)",
+            "            let Some(meta) = metas.iter().find(|m| m.id == e.id) else {",
+            "    let find = |id: u64| metas.iter().find(|m| m.id == id);",
+            "        .filter_map(|e| metas.iter().find(|m| m.id == e.id))",
+            "    let pos = parts.iter().position(|p| id == p.meta.id);",
+        ] {
+            assert!(linear_id_search_at(&[hit], 0), "{hit}");
+        }
+        // A closure that spans lines is read to its closing parenthesis.
+        let split = [
+            "let m = metas.iter().find(|m| {",
+            "    m.id == wanted",
+            "});",
+        ];
+        assert!(linear_id_search_at(&split, 0));
+        assert!(!linear_id_search_at(&split, 1));
+        // Searches that are not about ids, and id comparisons outside a
+        // search closure, pass.
+        for ok in [
+            "            .position(|f| f.seq == ticket.seq)",
+            "match rec.aux.iter().find(|(t, _)| t == table) {",
+            "let x = v.iter().find(|e| e.valid); if a.id == b.id {}",
+            "            .filter(|p| p.meta.id == id)",
+            "// metas.iter().find(|m| m.id == id)",
+        ] {
+            assert!(!linear_id_search_at(&[ok], 0), "{ok}");
+        }
+        let lines = [
+            "// LINEAR-OK: at most prefetch_depth entries",
+            "x.find(|m| m.id == id)",
+        ];
+        assert!(linear_id_search_at(&lines, 1) && waived(&lines, 1, "LINEAR-OK:"));
+    }
+
+    #[test]
     fn full_lint_run_on_this_repo_is_clean() {
         let root = repo_root();
         if !root.join("Cargo.toml").is_file() {
@@ -454,6 +574,7 @@ mod tests {
         lint_knob_registry(&root, &mut violations);
         lint_std_sync(&root, &mut violations);
         lint_crate_attributes(&root, &mut violations);
+        lint_no_linear_id_search(&root, &mut violations);
         let mut msg = String::new();
         for v in &violations {
             let _ = writeln!(msg, "{v}");
