@@ -20,8 +20,7 @@
 //! Findings are typed [`Diagnostic`] values. [`verify`] rejects plans
 //! with error-severity findings as
 //! [`Error::PlanRejected`]; the
-//! executor calls it behind `ExecConfig::verify_plans`
-//! (`SNOWPRUNE_VERIFY_PLANS`, default on).
+//! executor calls it behind `ExecConfig::verify_plans` (default on).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,9 @@
 //! §8.2 bench: repeated top-k via predicate cache vs boundary pruning —
-//! both the offline populate+replay loop and the engine-integrated warm
-//! path (`Session` with `predicate_cache` on).
+//! both a bare lookup+replay loop over an engine-recorded entry and the
+//! engine-integrated warm path (`Session` with `predicate_cache` on).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snowprune_cache::{
-    contributing_partitions_topk, CacheEntry, CacheLookup, EntryKind, PredicateCache,
-};
+use snowprune_cache::CacheLookup;
 use snowprune_exec::{ExecConfig, Executor, Session};
 use snowprune_plan::{fingerprint, FingerprintMode, PlanBuilder};
 use snowprune_storage::{Catalog, Field, Layout, Schema, TableBuilder};
@@ -35,33 +33,19 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(exec.run(&plan).unwrap()))
     });
     g.bench_function("topk_cached_replay", |b| {
-        // Populate once (offline pass), then measure lookup + replay cost.
-        let mut cache = PredicateCache::new(8);
-        let fp = fingerprint(&plan, FingerprintMode::Exact);
-        let parts = {
-            let t = handle.read();
-            contributing_partitions_topk(&t, None, "v", 10, true).unwrap()
-        };
-        let version = handle.read().version();
-        cache.insert(
-            fp,
-            CacheEntry {
-                kind: EntryKind::TopK {
-                    order_column: "v".into(),
-                },
-                table: "t".into(),
-                partitions: parts,
-                predicate_columns: Vec::new(),
-                table_version: version,
-                appended: Vec::new(),
-                shape: None,
-                saved_loads: 0,
-                aux_tables: Vec::new(),
-            },
+        // One cold engine run records the entry, then measure bare
+        // lookup + replay cost.
+        let session = Session::new(
+            cat.clone(),
+            ExecConfig::default().with_predicate_cache(true),
         );
+        session.run(&plan).unwrap();
+        let cache = session.cache().unwrap();
+        let fp = fingerprint(&plan, FingerprintMode::Exact);
+        let version = handle.read().version();
         let t = handle.read().clone();
         b.iter(|| {
-            let CacheLookup::Hit(parts) = cache.lookup(fp, version) else {
+            let CacheLookup::Hit(parts) = cache.lock().lookup(fp, version) else {
                 panic!()
             };
             // Replay: load only the cached partitions.

@@ -27,17 +27,13 @@
 //! records top-k heap survivors (plus boundary-tie partitions) and filter
 //! scans' surviving partitions at query completion, and
 //! `snowprune_exec::Session` owns the shared cache and routes DML results
-//! into [`PredicateCache::on_dml`]. [`contributing_partitions_topk`]
-//! remains as the offline/oracle population pass used by benches and the
-//! property suite.
+//! into [`PredicateCache::on_dml`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod populate;
 
 pub use cache::{
     CacheEntry, CacheLookup, CacheStats, DmlKind, EntryKind, PredicateCache, ShapeKey,
 };
-pub use populate::contributing_partitions_topk;

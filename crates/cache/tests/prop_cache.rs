@@ -11,10 +11,7 @@
 //! `snowprune_exec::Session` drives the cache.
 
 use proptest::prelude::*;
-use snowprune_cache::{
-    contributing_partitions_topk, CacheEntry, CacheLookup, DmlKind, EntryKind, PredicateCache,
-    ShapeKey,
-};
+use snowprune_cache::{CacheEntry, CacheLookup, DmlKind, EntryKind, PredicateCache, ShapeKey};
 use snowprune_expr::dsl::{col, lit};
 use snowprune_expr::{eval_truths, selection_indices, Expr};
 use snowprune_storage::{Field, Layout, PartitionId, Schema, Table, TableBuilder};
@@ -89,15 +86,31 @@ fn qualifying_pairs(table: &Table, pred: Option<&Expr>) -> Vec<(i64, PartitionId
     pairs
 }
 
-/// Partitions holding at least one row matching `pred` (the filter oracle).
-fn matching_partitions(table: &Table, pred: &Expr) -> Vec<PartitionId> {
-    let mut out: Vec<PartitionId> = qualifying_pairs(table, Some(pred))
-        .into_iter()
-        .map(|(_, id)| id)
-        .collect();
+/// The distinct partitions of `pairs`, sorted.
+fn partitions_of(pairs: Vec<(i64, PartitionId)>) -> Vec<PartitionId> {
+    let mut out: Vec<PartitionId> = pairs.into_iter().map(|(_, id)| id).collect();
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// Partitions holding at least one row matching `pred` (the filter oracle).
+fn matching_partitions(table: &Table, pred: &Expr) -> Vec<PartitionId> {
+    partitions_of(qualifying_pairs(table, Some(pred)))
+}
+
+/// Every qualifying row ranked at-or-better-than the k-th best order value
+/// (`k >= 1`): the top-k rows plus every row tied with the boundary, which
+/// a replay may draw the boundary row from (the top-k oracle). Its
+/// partitions are the exact entry the engine records.
+fn topk_pairs(table: &Table, pred: Option<&Expr>, k: usize, desc: bool) -> Vec<(i64, PartitionId)> {
+    let mut pairs = qualifying_pairs(table, pred);
+    pairs.sort_by(|a, b| if desc { b.0.cmp(&a.0) } else { a.0.cmp(&b.0) });
+    if pairs.len() > k {
+        let bound = pairs[k - 1].0;
+        pairs.retain(|(v, _)| if desc { *v >= bound } else { *v <= bound });
+    }
+    pairs
 }
 
 /// One random DML statement. Parameters are interpreted per `kind`.
@@ -217,8 +230,7 @@ proptest! {
         let mut table = build_table(&rows, per_part, clustered);
         let pred = with_pred.then(|| col("w").ge(lit(threshold)));
         let mut cache = PredicateCache::new(8);
-        let parts =
-            contributing_partitions_topk(&table, pred.as_ref(), "v", k, desc).unwrap();
+        let parts = partitions_of(topk_pairs(&table, pred.as_ref(), k, desc));
         cache.insert(1, CacheEntry {
             kind: EntryKind::TopK { order_column: "v".into() },
             table: "t".into(),
@@ -236,20 +248,7 @@ proptest! {
         // A miss (invalidated or stale) is always legal; a hit must not
         // lose any oracle row.
         if let CacheLookup::Hit(replay) = cache.lookup(1, table.version()) {
-            // Oracle: every qualifying row ranked at-or-better-than the
-            // k-th best value must be replayable.
-            let mut pairs = qualifying_pairs(&table, pred.as_ref());
-            pairs.sort_by(|a, b| if desc { b.0.cmp(&a.0) } else { a.0.cmp(&b.0) });
-            let required: Vec<(i64, PartitionId)> = if pairs.len() > k {
-                let bound = pairs[k - 1].0;
-                pairs
-                    .into_iter()
-                    .filter(|(v, _)| if desc { *v >= bound } else { *v <= bound })
-                    .collect()
-            } else {
-                pairs
-            };
-            for (v, id) in required {
+            for (v, id) in topk_pairs(&table, pred.as_ref(), k, desc) {
                 prop_assert!(
                     replay.contains(&id),
                     "row v={v} in partition {id} lost by replay set {replay:?} \
@@ -370,8 +369,7 @@ proptest! {
         let mut table = build_table(&rows, per_part, clustered);
         let pred = with_pred.then(|| col("w").ge(lit(threshold)));
         let mut cache = PredicateCache::new(8);
-        let parts =
-            contributing_partitions_topk(&table, pred.as_ref(), "v", k_entry, desc).unwrap();
+        let parts = partitions_of(topk_pairs(&table, pred.as_ref(), k_entry, desc));
         // Shape fingerprint varies with predicate presence, as the real
         // extraction's constrained-column set would.
         let entry_shape = if with_pred {
@@ -400,18 +398,7 @@ proptest! {
         }
         let lookup = cache.lookup_with_shape(9, Some(&query_shape), table.version());
         if let CacheLookup::ShapeHit(replay) = lookup {
-            let mut pairs = qualifying_pairs(&table, pred.as_ref());
-            pairs.sort_by(|a, b| if desc { b.0.cmp(&a.0) } else { a.0.cmp(&b.0) });
-            let required: Vec<(i64, PartitionId)> = if pairs.len() > k_query {
-                let bound = pairs[k_query - 1].0;
-                pairs
-                    .into_iter()
-                    .filter(|(v, _)| if desc { *v >= bound } else { *v <= bound })
-                    .collect()
-            } else {
-                pairs
-            };
-            for (v, id) in required {
+            for (v, id) in topk_pairs(&table, pred.as_ref(), k_query, desc) {
                 prop_assert!(
                     replay.contains(&id),
                     "row v={v} in partition {id} lost by shape replay {replay:?} \

@@ -4,7 +4,6 @@ use snowprune_core::filter::FilterPruneConfig;
 use snowprune_core::join::SummaryKind;
 use snowprune_core::topk::PartitionOrder;
 use snowprune_storage::IoCostModel;
-use snowprune_types::knobs;
 
 /// Knobs controlling the pruning behaviour of the [`crate::Executor`].
 /// Every paper experiment toggles some subset of these.
@@ -49,8 +48,7 @@ pub struct ExecConfig {
     /// shared fingerprint-keyed cache of contributing-partition sets and
     /// restrict warm replays to them before morsel generation. Off by
     /// default so counter-exact unit tests and cold-path experiments stay
-    /// byte-identical; the differential/bench suites enable it explicitly
-    /// or via `SNOWPRUNE_PREDICATE_CACHE`.
+    /// byte-identical; the differential/bench suites enable it explicitly.
     pub predicate_cache: bool,
     /// Entry capacity of the predicate cache (LRU eviction keyed on hit
     /// recency, with a cost-aware tiebreak).
@@ -106,8 +104,7 @@ pub struct ExecConfig {
     /// error-severity diagnostic are rejected with
     /// [`snowprune_types::Error::PlanRejected`]. On by default — the
     /// analyzer is sound (zero false positives on every valid plan), so
-    /// the only reason to disable it (`SNOWPRUNE_VERIFY_PLANS=0`) is to
-    /// measure its admission-time cost.
+    /// the only reason to disable it is to measure its admission-time cost.
     pub verify_plans: bool,
     /// Zone-map filter pruning knobs (§3).
     pub filter: FilterPruneConfig,
@@ -243,201 +240,5 @@ impl ExecConfig {
     pub fn with_verify_plans(mut self, on: bool) -> Self {
         self.verify_plans = on;
         self
-    }
-}
-
-// Every reader below goes through the [`snowprune_types::knobs`] registry
-// — the single env-var choke point enforced by `cargo xtask lint`. The
-// registry panics on malformed values with the variable name and raw value
-// in the message: a typo'd CI matrix entry (`SNOWPRUNE_PREFETCH_DEPTH=abc`)
-// used to silently run defaults and green-light a sweep that never
-// happened. Unset variables still return `None` — absence is the
-// documented "use the default" signal.
-
-/// Scan-thread override from the `SNOWPRUNE_SCAN_THREADS` environment
-/// variable. The CI thread-count matrix uses this to run the differential
-/// and stress suites at 1, 4, and 8 workers without code changes; defaults
-/// stay env-independent so counter-exact unit tests are unaffected.
-pub fn scan_threads_from_env() -> Option<usize> {
-    knobs::usize_min1("SNOWPRUNE_SCAN_THREADS")
-}
-
-/// Prefetch-depth override from the `SNOWPRUNE_PREFETCH_DEPTH` environment
-/// variable. Like [`scan_threads_from_env`], this is applied explicitly by
-/// the differential/stress suites (CI matrix runs depths 1 and 8), never
-/// implicitly by `ExecConfig::default()`.
-pub fn prefetch_depth_from_env() -> Option<usize> {
-    knobs::usize_min1("SNOWPRUNE_PREFETCH_DEPTH")
-}
-
-/// Predicate-cache override from the `SNOWPRUNE_PREDICATE_CACHE`
-/// environment variable (`1`/`0`, `true`/`false`, `on`/`off`). Applied
-/// explicitly by the differential cache leg (the CI matrix runs both
-/// settings), never implicitly by `ExecConfig::default()`.
-///
-/// # Panics
-/// On a malformed value (anything other than the accepted spellings), so a
-/// typo'd CI matrix fails loudly instead of silently running defaults.
-pub fn predicate_cache_from_env() -> Option<bool> {
-    knobs::toggle("SNOWPRUNE_PREDICATE_CACHE")
-}
-
-/// Predicate-cache fingerprint-mode override from the
-/// `SNOWPRUNE_PREDICATE_CACHE_MODE` environment variable (`exact` or
-/// `shape`). Applied explicitly by the differential cache leg (the CI
-/// matrix sweeps both modes), never implicitly by `ExecConfig::default()`.
-///
-/// # Panics
-/// On a malformed value (anything other than `exact`/`shape`).
-pub fn predicate_cache_mode_from_env() -> Option<PredicateCacheMode> {
-    match knobs::choice("SNOWPRUNE_PREDICATE_CACHE_MODE", &["exact", "shape"])? {
-        "exact" => Some(PredicateCacheMode::Exact),
-        "shape" => Some(PredicateCacheMode::Shape),
-        // PANIC-OK: `choice` only returns variants from the registry entry.
-        other => unreachable!("choice() returned unregistered variant {other:?}"),
-    }
-}
-
-/// Batch-size override from the `SNOWPRUNE_BATCH_ROWS` environment
-/// variable. Like the other env knobs, this is applied explicitly by the
-/// differential/stress suites (the CI matrix runs 1 and 1024), never
-/// implicitly by `ExecConfig::default()`.
-pub fn batch_rows_from_env() -> Option<usize> {
-    knobs::usize_min1("SNOWPRUNE_BATCH_ROWS")
-}
-
-/// Per-tenant in-flight cap override from the
-/// `SNOWPRUNE_TENANT_MAX_CONCURRENT` environment variable. Applied
-/// explicitly by the admission stress/differential legs (the CI pool
-/// matrix sweeps it), never implicitly by `ExecConfig::default()`.
-pub fn tenant_max_concurrent_from_env() -> Option<usize> {
-    knobs::usize_min1("SNOWPRUNE_TENANT_MAX_CONCURRENT")
-}
-
-/// Admission queue-capacity override from the
-/// `SNOWPRUNE_ADMISSION_QUEUE_CAP` environment variable. Unlike the other
-/// numeric knobs, `0` is meaningful (reject anything beyond the in-flight
-/// window), so only non-numeric values are malformed.
-pub fn admission_queue_cap_from_env() -> Option<usize> {
-    knobs::usize_any("SNOWPRUNE_ADMISSION_QUEUE_CAP")
-}
-
-/// Static-plan-verifier override from the `SNOWPRUNE_VERIFY_PLANS`
-/// environment variable (`1`/`0`, `true`/`false`, `on`/`off`). Unlike the
-/// other knobs the verifier is **on** by default; the env var exists to
-/// switch it off for admission-cost measurements.
-///
-/// # Panics
-/// On a malformed value (anything other than the accepted spellings).
-pub fn verify_plans_from_env() -> Option<bool> {
-    knobs::toggle("SNOWPRUNE_VERIFY_PLANS")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// `std::env` is process-global; serialize the tests that mutate it.
-    fn env_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn with_var<R>(var: &str, value: Option<&str>, f: impl FnOnce() -> R) -> R {
-        let _guard = env_lock();
-        match value {
-            Some(v) => std::env::set_var(var, v),
-            None => std::env::remove_var(var),
-        }
-        let out = f();
-        std::env::remove_var(var);
-        out
-    }
-
-    fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
-        std::panic::catch_unwind(f).is_err()
-    }
-
-    #[test]
-    fn unset_env_knobs_mean_defaults() {
-        with_var("SNOWPRUNE_PREFETCH_DEPTH", None, || {
-            assert_eq!(prefetch_depth_from_env(), None);
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE", None, || {
-            assert_eq!(predicate_cache_from_env(), None);
-        });
-    }
-
-    #[test]
-    fn well_formed_env_knobs_parse() {
-        with_var("SNOWPRUNE_PREFETCH_DEPTH", Some(" 8 "), || {
-            assert_eq!(prefetch_depth_from_env(), Some(8));
-        });
-        with_var("SNOWPRUNE_SCAN_THREADS", Some("4"), || {
-            assert_eq!(scan_threads_from_env(), Some(4));
-        });
-        with_var("SNOWPRUNE_TENANT_MAX_CONCURRENT", Some("2"), || {
-            assert_eq!(tenant_max_concurrent_from_env(), Some(2));
-        });
-        with_var("SNOWPRUNE_ADMISSION_QUEUE_CAP", Some("0"), || {
-            assert_eq!(admission_queue_cap_from_env(), Some(0));
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE", Some("on"), || {
-            assert_eq!(predicate_cache_from_env(), Some(true));
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE_MODE", Some("Shape"), || {
-            assert_eq!(
-                predicate_cache_mode_from_env(),
-                Some(PredicateCacheMode::Shape)
-            );
-        });
-    }
-
-    #[test]
-    fn malformed_env_knobs_panic_with_var_and_value() {
-        let msg = |f: Box<dyn FnOnce() + std::panic::UnwindSafe>| -> String {
-            match std::panic::catch_unwind(f) {
-                Err(e) => e
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_else(|| "non-string panic".into()),
-                Ok(()) => panic!("expected a panic"),
-            }
-        };
-        with_var("SNOWPRUNE_PREFETCH_DEPTH", Some("abc"), || {
-            let m = msg(Box::new(|| {
-                prefetch_depth_from_env();
-            }));
-            assert!(m.contains("SNOWPRUNE_PREFETCH_DEPTH"), "{m}");
-            assert!(m.contains("abc"), "{m}");
-        });
-        with_var("SNOWPRUNE_SCAN_THREADS", Some("0"), || {
-            assert!(panics(|| {
-                scan_threads_from_env();
-            }));
-        });
-        with_var("SNOWPRUNE_BATCH_ROWS", Some("-3"), || {
-            assert!(panics(|| {
-                batch_rows_from_env();
-            }));
-        });
-        with_var("SNOWPRUNE_ADMISSION_QUEUE_CAP", Some("lots"), || {
-            assert!(panics(|| {
-                admission_queue_cap_from_env();
-            }));
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE", Some("maybe"), || {
-            let m = msg(Box::new(|| {
-                predicate_cache_from_env();
-            }));
-            assert!(m.contains("SNOWPRUNE_PREDICATE_CACHE"), "{m}");
-            assert!(m.contains("maybe"), "{m}");
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE_MODE", Some("fuzzy"), || {
-            assert!(panics(|| {
-                predicate_cache_mode_from_env();
-            }));
-        });
     }
 }

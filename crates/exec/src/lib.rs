@@ -22,11 +22,7 @@ pub mod session;
 pub mod vector;
 
 pub use admission::{Admission, AdmissionRun, TenantId, TenantStats};
-pub use config::{
-    admission_queue_cap_from_env, batch_rows_from_env, predicate_cache_from_env,
-    predicate_cache_mode_from_env, prefetch_depth_from_env, scan_threads_from_env,
-    tenant_max_concurrent_from_env, verify_plans_from_env, ExecConfig, PredicateCacheMode,
-};
+pub use config::{ExecConfig, PredicateCacheMode};
 pub use exec::{CacheOutcome, ExecReport, Executor, QueryOutput};
 pub use pool::{MorselPool, QueryId, ScanJobSpec, ScanTicket};
 pub use rows::RowSet;

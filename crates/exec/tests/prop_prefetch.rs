@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use snowprune_core::filter::FilterPruneConfig;
 use snowprune_core::topk::{Boundary, TopKHeap};
-use snowprune_exec::{prefetch_depth_from_env, CompiledScan, ExecConfig, Executor};
+use snowprune_exec::{CompiledScan, ExecConfig, Executor};
 use snowprune_expr::dsl::{col, lit};
 use snowprune_plan::PlanBuilder;
 use snowprune_storage::{
@@ -199,13 +199,10 @@ proptest! {
         per_part in prop_oneof![Just(7usize), Just(20)],
         k in 1u64..15,
         desc in any::<bool>(),
-        depth in 2usize..9,
+        depth in 1usize..9,
         shape in 0u8..3,
         clustered in any::<bool>(),
     ) {
-        // CI's SNOWPRUNE_PREFETCH_DEPTH matrix leg overrides the generated
-        // depth so the matrix cells genuinely differ.
-        let depth = prefetch_depth_from_env().unwrap_or(depth);
         let table = build_table(&values, per_part, clustered);
         let catalog = Catalog::new();
         catalog.register(Arc::try_unwrap(table).unwrap_or_else(|t| (*t).clone()));

@@ -1,16 +1,15 @@
 //! The single choke point for `SNOWPRUNE_*` environment knobs.
 //!
 //! Every runtime knob the workspace reads from the environment is (a)
-//! declared in [`REGISTRY`] and (b) read through one of the typed readers
-//! in this module — `cargo xtask lint` enforces both mechanically, and
-//! additionally requires every registered knob to appear in the README
-//! knob documentation. Centralizing the reads gives all knobs the same
-//! failure contract: a malformed value **panics with the variable name and
-//! the offending value** (a typo'd CI matrix entry must fail loudly, not
-//! silently run defaults), while an *unset* variable returns `None` —
-//! absence is the documented "use the default" signal.
+//! declared in [`REGISTRY`] and (b) read through the reader in this module
+//! — `cargo xtask lint` enforces both mechanically, and additionally
+//! requires every registered knob to appear in the README knob
+//! documentation. An *unset* variable returns `None` — absence is the
+//! documented "use the default" signal.
 //!
-//! The `criterion` compat shim keeps its own direct reads of
+//! The knobs are deployment settings of the benchmark harnesses only; the
+//! engine is configured in code through `ExecConfig`. The `criterion`
+//! compat shim keeps its own direct reads of
 //! `SNOWPRUNE_BENCH_SAMPLES`/`SNOWPRUNE_BENCH_WARMUP_MS` (it mirrors an
 //! external crate and must stay dependency-free); those names are still
 //! registered here so the README coverage check applies to them.
@@ -18,14 +17,8 @@
 /// How a knob's value is parsed, for documentation and error messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KnobKind {
-    /// A `usize` clamped to `>= 1` (worker counts, depths, batch sizes).
+    /// A `usize` clamped to `>= 1` (sample counts, durations).
     UsizeMin1,
-    /// A `usize` where `0` is meaningful (queue capacities).
-    UsizeAny,
-    /// A boolean toggle: `1`/`0`, `true`/`false`, `on`/`off`.
-    Toggle,
-    /// One of a fixed set of case-insensitive choices.
-    Choice(&'static [&'static str]),
     /// A filesystem path, taken verbatim.
     Path,
 }
@@ -43,46 +36,6 @@ pub struct KnobDef {
 
 /// Every `SNOWPRUNE_*` environment knob the workspace reads.
 pub const REGISTRY: &[KnobDef] = &[
-    KnobDef {
-        name: "SNOWPRUNE_SCAN_THREADS",
-        kind: KnobKind::UsizeMin1,
-        summary: "scan worker threads shared by a pool/session",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_PREFETCH_DEPTH",
-        kind: KnobKind::UsizeMin1,
-        summary: "partition loads in flight per scan lane",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_BATCH_ROWS",
-        kind: KnobKind::UsizeMin1,
-        summary: "rows per column-major batch on the vectorized spine",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_TENANT_MAX_CONCURRENT",
-        kind: KnobKind::UsizeMin1,
-        summary: "per-tenant in-flight query cap under admission control",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_ADMISSION_QUEUE_CAP",
-        kind: KnobKind::UsizeAny,
-        summary: "per-tenant queued-query cap behind the in-flight window",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_PREDICATE_CACHE",
-        kind: KnobKind::Toggle,
-        summary: "enable the §8.2 predicate cache",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_PREDICATE_CACHE_MODE",
-        kind: KnobKind::Choice(&["exact", "shape"]),
-        summary: "predicate-cache fingerprint mode",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_VERIFY_PLANS",
-        kind: KnobKind::Toggle,
-        summary: "static plan verification at admission (default on)",
-    },
     KnobDef {
         name: "SNOWPRUNE_BENCH_DIR",
         kind: KnobKind::Path,
@@ -105,78 +58,17 @@ pub fn lookup(name: &str) -> Option<&'static KnobDef> {
     REGISTRY.iter().find(|k| k.name == name)
 }
 
-/// Raw registered read: `None` when unset.
+/// Read a path knob verbatim: `None` when unset.
 ///
 /// # Panics
 /// When `name` is not in [`REGISTRY`] — adding a knob without registering
 /// it is a programming error the lint also catches statically.
-fn read(name: &str) -> Option<String> {
+pub fn path(name: &str) -> Option<String> {
     assert!(
         lookup(name).is_some(),
         "environment knob {name} is not registered in snowprune_types::knobs::REGISTRY"
     );
     std::env::var(name).ok()
-}
-
-/// Read a `usize >= 1` knob.
-///
-/// # Panics
-/// On a malformed value (non-integer or `< 1`), with the variable name and
-/// the offending value in the message.
-pub fn usize_min1(name: &str) -> Option<usize> {
-    let raw = read(name)?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => panic!("{name}={raw:?} is not a valid value (expected an integer >= 1)"),
-    }
-}
-
-/// Read a `usize` knob where `0` is meaningful.
-///
-/// # Panics
-/// On a non-integer value, with the variable name and the offending value.
-pub fn usize_any(name: &str) -> Option<usize> {
-    let raw = read(name)?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => panic!("{name}={raw:?} is not a valid value (expected a non-negative integer)"),
-    }
-}
-
-/// Read a boolean toggle knob (`1`/`0`, `true`/`false`, `on`/`off`).
-///
-/// # Panics
-/// On any other spelling, with the variable name and the offending value.
-pub fn toggle(name: &str) -> Option<bool> {
-    let raw = read(name)?;
-    match raw.trim() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => panic!("{name}={raw:?} is not a valid toggle (expected 1/0, true/false, or on/off)"),
-    }
-}
-
-/// Read a fixed-choice knob, matching case-insensitively; returns the
-/// canonical (registered) spelling.
-///
-/// # Panics
-/// On a value outside `options`, with the variable name, the offending
-/// value, and the accepted spellings.
-pub fn choice(name: &str, options: &'static [&'static str]) -> Option<&'static str> {
-    let raw = read(name)?;
-    let lowered = raw.trim().to_ascii_lowercase();
-    match options.iter().find(|o| **o == lowered) {
-        Some(o) => Some(o),
-        None => panic!(
-            "{name}={raw:?} is not a valid value (expected one of: {})",
-            options.join(", ")
-        ),
-    }
-}
-
-/// Read a path knob verbatim.
-pub fn path(name: &str) -> Option<String> {
-    read(name)
 }
 
 #[cfg(test)]
@@ -201,16 +93,6 @@ mod tests {
         out
     }
 
-    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        match std::panic::catch_unwind(f) {
-            Err(e) => e
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "non-string panic".into()),
-            Ok(()) => panic!("expected a panic"),
-        }
-    }
-
     #[test]
     fn every_registry_name_is_snowprune_prefixed_and_unique() {
         for def in REGISTRY {
@@ -225,72 +107,26 @@ mod tests {
 
     #[test]
     fn unset_knobs_read_as_none() {
-        with_var("SNOWPRUNE_PREFETCH_DEPTH", None, || {
-            assert_eq!(usize_min1("SNOWPRUNE_PREFETCH_DEPTH"), None);
-        });
-        with_var("SNOWPRUNE_VERIFY_PLANS", None, || {
-            assert_eq!(toggle("SNOWPRUNE_VERIFY_PLANS"), None);
+        with_var("SNOWPRUNE_BENCH_DIR", None, || {
+            assert_eq!(path("SNOWPRUNE_BENCH_DIR"), None);
         });
     }
 
     #[test]
     fn well_formed_values_parse() {
-        with_var("SNOWPRUNE_PREFETCH_DEPTH", Some(" 8 "), || {
-            assert_eq!(usize_min1("SNOWPRUNE_PREFETCH_DEPTH"), Some(8));
-        });
-        with_var("SNOWPRUNE_ADMISSION_QUEUE_CAP", Some("0"), || {
-            assert_eq!(usize_any("SNOWPRUNE_ADMISSION_QUEUE_CAP"), Some(0));
-        });
-        with_var("SNOWPRUNE_VERIFY_PLANS", Some("off"), || {
-            assert_eq!(toggle("SNOWPRUNE_VERIFY_PLANS"), Some(false));
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE_MODE", Some("Shape"), || {
-            assert_eq!(
-                choice("SNOWPRUNE_PREDICATE_CACHE_MODE", &["exact", "shape"]),
-                Some("shape")
-            );
-        });
         with_var("SNOWPRUNE_BENCH_DIR", Some("/tmp/x"), || {
             assert_eq!(path("SNOWPRUNE_BENCH_DIR").as_deref(), Some("/tmp/x"));
         });
     }
 
     #[test]
-    fn malformed_values_panic_with_name_and_value() {
-        with_var("SNOWPRUNE_PREFETCH_DEPTH", Some("abc"), || {
-            let m = panic_message(|| {
-                usize_min1("SNOWPRUNE_PREFETCH_DEPTH");
-            });
-            assert!(m.contains("SNOWPRUNE_PREFETCH_DEPTH"), "{m}");
-            assert!(m.contains("abc"), "{m}");
-        });
-        with_var("SNOWPRUNE_SCAN_THREADS", Some("0"), || {
-            let m = panic_message(|| {
-                usize_min1("SNOWPRUNE_SCAN_THREADS");
-            });
-            assert!(m.contains("SNOWPRUNE_SCAN_THREADS"), "{m}");
-        });
-        with_var("SNOWPRUNE_VERIFY_PLANS", Some("maybe"), || {
-            let m = panic_message(|| {
-                toggle("SNOWPRUNE_VERIFY_PLANS");
-            });
-            assert!(m.contains("SNOWPRUNE_VERIFY_PLANS"), "{m}");
-            assert!(m.contains("maybe"), "{m}");
-        });
-        with_var("SNOWPRUNE_PREDICATE_CACHE_MODE", Some("fuzzy"), || {
-            let m = panic_message(|| {
-                choice("SNOWPRUNE_PREDICATE_CACHE_MODE", &["exact", "shape"]);
-            });
-            assert!(m.contains("fuzzy"), "{m}");
-            assert!(m.contains("exact"), "{m}");
-        });
-    }
-
-    #[test]
     fn unregistered_reads_panic() {
-        let m = panic_message(|| {
-            usize_min1("SNOWPRUNE_NOT_A_KNOB");
-        });
+        let err = std::panic::catch_unwind(|| path("SNOWPRUNE_NOT_A_KNOB"))
+            .expect_err("an unregistered read must panic");
+        let m = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic".into());
         assert!(m.contains("not registered"), "{m}");
     }
 }

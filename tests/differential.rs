@@ -16,19 +16,22 @@
 //!   engine must return exactly `min(k, |matching|)` rows, each contained
 //!   in the oracle's unlimited result.
 //!
-//! The pool worker count honours `SNOWPRUNE_SCAN_THREADS` (CI runs this
-//! suite at 1, 4, and 8 workers), the default prefetch depth honours
-//! `SNOWPRUNE_PREFETCH_DEPTH` (CI runs depths 1 and 8), and the execution
-//! batch size honours `SNOWPRUNE_BATCH_ROWS` (CI runs 1 and 1024); the
-//! dedicated prefetch leg additionally pins depths 1 and 4, and the
-//! vectorized-batch leg pins `batch_rows ∈ {1, 3, 1024}` against the
-//! whole-partition row-order oracle.
+//! Every leg runs at every engine configuration in `common/lattice.rs`
+//! (pool size × prefetch depth, batch size, admission cap, predicate cache,
+//! plan verifier); the oracles that do not depend on the configuration
+//! run once per workload, outside the sweep. The prefetch leg sweeps
+//! depths {1, 4} itself, and the vectorized-batch legs pin
+//! `batch_rows ∈ {1, 3, 1024}` against the whole-partition row-order
+//! oracle.
 
-use snowprune::exec::{
-    admission_queue_cap_from_env, batch_rows_from_env, predicate_cache_from_env,
-    predicate_cache_mode_from_env, prefetch_depth_from_env, scan_threads_from_env,
-    tenant_max_concurrent_from_env, verify_plans_from_env, CacheOutcome, PredicateCacheMode,
-};
+mod common {
+    pub mod lattice;
+}
+
+use std::collections::BTreeMap;
+
+use common::lattice::POINTS;
+use snowprune::exec::{CacheOutcome, PredicateCacheMode};
 use snowprune::prelude::*;
 use snowprune::workload::diffgen::{
     build_workload, cacheable_queries, joinagg_queries, random_queries, Check, Workload,
@@ -38,22 +41,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const WORKLOADS: u64 = 50;
-
-fn pool_threads() -> usize {
-    scan_threads_from_env().unwrap_or(4)
-}
-
-fn env_prefetch_depth() -> usize {
-    prefetch_depth_from_env().unwrap_or(2)
-}
-
-fn env_batch_rows() -> usize {
-    batch_rows_from_env().unwrap_or(ExecConfig::default().batch_rows)
-}
-
-fn env_verify_plans() -> bool {
-    verify_plans_from_env().unwrap_or(ExecConfig::default().verify_plans)
-}
 
 /// The prefetch pipeline's counter invariant: every considered scan-set
 /// entry was loaded, skipped before submission, or cancelled in flight.
@@ -76,6 +63,61 @@ fn assert_pipeline_invariant(out: &QueryOutput, ctx: &str) {
 // property suite (`crates/analyze/tests/prop_analyze.rs`) runs over the
 // identical plan corpus this harness executes.
 
+type MakeQueries = fn(&mut StdRng, &Workload) -> Vec<(Plan, Check)>;
+
+/// Workload `w` of a seeded corpus and its query shapes.
+fn corpus(
+    make: MakeQueries,
+    seed_base: u64,
+    seed_mix: u64,
+    w: u64,
+) -> (Workload, Vec<(Plan, Check)>) {
+    let seed = seed_base + w;
+    let wl = build_workload(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ seed_mix);
+    let queries = make(&mut rng, &wl);
+    (wl, queries)
+}
+
+/// Workload `w` of the shared random corpus.
+fn random_workload(w: u64) -> (Workload, Vec<(Plan, Check)>) {
+    corpus(random_queries, 0xD1FF_0000, 0x5EED, w)
+}
+
+fn plans_of(queries: &[(Plan, Check)]) -> Vec<Plan> {
+    queries.iter().map(|(p, _)| p.clone()).collect()
+}
+
+/// `plans` run one after another on a fresh sequential engine.
+fn run_seq(catalog: &Catalog, plans: &[Plan], cfg: ExecConfig, ctx: &str) -> Vec<QueryOutput> {
+    let exec = Executor::new(catalog.clone(), cfg);
+    plans
+        .iter()
+        .enumerate()
+        .map(|(qi, p)| {
+            exec.run(p)
+                .unwrap_or_else(|e| panic!("{ctx} query {qi}: {e:?}"))
+        })
+        .collect()
+}
+
+/// `plans` as one concurrent batch on a fresh `threads`-worker session, so
+/// morsels of different queries interleave.
+fn run_pooled(
+    catalog: &Catalog,
+    plans: &[Plan],
+    cfg: ExecConfig,
+    threads: usize,
+    ctx: &str,
+) -> Vec<QueryOutput> {
+    Session::new(catalog.clone(), cfg.with_scan_threads(threads))
+        .run_batch(plans)
+        .into_iter()
+        .enumerate()
+        .map(|(qi, r)| r.unwrap_or_else(|e| panic!("{ctx} query {qi}: {e:?}")))
+        .collect()
+}
+
 // ---- comparison helpers --------------------------------------------------
 
 fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
@@ -93,106 +135,118 @@ fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
+/// What an engine must return for one query under its shape's contract.
+enum Expect {
+    /// The row multiset, canonicalized.
+    Sorted(Vec<Vec<Value>>),
+    /// The exact ordered rows.
+    Ordered(Vec<Vec<Value>>),
+    /// `min(k, |full|)` rows, each in the canonical unlimited result.
+    Limited { k: usize, full: Vec<Vec<Value>> },
+}
+
+impl Expect {
+    /// The contract set by the reference output `out` of `exec` (which
+    /// also runs a LIMIT shape's unlimited variant).
+    fn of(exec: &Executor, out: &QueryOutput, check: &Check) -> Self {
+        match check {
+            Check::Sorted => Expect::Sorted(canonical(out.rows.rows.clone())),
+            Check::Ordered => Expect::Ordered(out.rows.rows.clone()),
+            Check::Limited { k, unlimited } => Expect::Limited {
+                k: *k,
+                full: canonical(exec.run(unlimited).unwrap().rows.rows),
+            },
+        }
+    }
+
+    fn assert(&self, out: &QueryOutput, ctx: &str) {
+        match self {
+            Expect::Sorted(rows) => assert_eq!(
+                &canonical(out.rows.rows.clone()),
+                rows,
+                "{ctx}: row multiset diverged from the oracle"
+            ),
+            Expect::Ordered(rows) => assert_eq!(
+                &out.rows.rows, rows,
+                "{ctx}: ordered rows diverged from the oracle"
+            ),
+            Expect::Limited { k, full } => {
+                assert_eq!(out.rows.len(), (*k).min(full.len()), "{ctx}: row count");
+                for row in &out.rows.rows {
+                    assert!(
+                        full.binary_search_by(|probe| cmp_rows(probe, row)).is_ok(),
+                        "{ctx}: returned a row outside the oracle result"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A workload's sequential reference run, executed once outside the
+/// configuration sweep: every query's output and the contract it sets.
+struct Oracle {
+    outs: Vec<QueryOutput>,
+    expect: Vec<Expect>,
+}
+
+impl Oracle {
+    fn new(catalog: &Catalog, cfg: ExecConfig, queries: &[(Plan, Check)], ctx: &str) -> Self {
+        let exec = Executor::new(catalog.clone(), cfg);
+        let mut outs = Vec::with_capacity(queries.len());
+        let mut expect = Vec::with_capacity(queries.len());
+        for (qi, (plan, check)) in queries.iter().enumerate() {
+            let ctx = format!("{ctx} query {qi} oracle");
+            let out = exec.run(plan).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+            assert_pipeline_invariant(&out, &ctx);
+            expect.push(Expect::of(&exec, &out, check));
+            outs.push(out);
+        }
+        Oracle { outs, expect }
+    }
+
+    /// The blocking no-pruning oracle: no pruning, no prefetching.
+    fn no_pruning(catalog: &Catalog, queries: &[(Plan, Check)], ctx: &str) -> Self {
+        let cfg = ExecConfig::no_pruning().with_prefetch_depth(1);
+        Oracle::new(catalog, cfg, queries, ctx)
+    }
+
+    /// Hold every output of one engine to the pipeline invariant and its
+    /// query's contract.
+    fn check(&self, outs: &[QueryOutput], ctx: &str) {
+        for (qi, (out, expect)) in outs.iter().zip(&self.expect).enumerate() {
+            let ctx = format!("{ctx} query {qi}");
+            assert_pipeline_invariant(out, &ctx);
+            expect.assert(out, &ctx);
+        }
+    }
+}
+
 // ---- the oracle ----------------------------------------------------------
 
 #[test]
 fn pruning_is_result_invariant_across_50_workloads() {
-    let threads = pool_threads();
-    let pruned_cfg = ExecConfig::default()
-        .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
-    let oracle_cfg = ExecConfig::no_pruning()
-        .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
     for w in 0..WORKLOADS {
-        let seed = 0xD1FF_0000 + w;
-        let wl = build_workload(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let queries = random_queries(&mut rng, &wl);
-        let plans: Vec<Plan> = queries.iter().map(|(p, _)| p.clone()).collect();
-
-        // Sequential engines.
-        let pruned_seq = Executor::new(wl.catalog.clone(), pruned_cfg.clone());
-        let oracle_seq = Executor::new(wl.catalog.clone(), oracle_cfg.clone());
-        // Pooled engines: the whole workload runs as one concurrent batch
-        // on a shared pool, so morsels of different queries interleave.
-        let pruned_pool = Session::new(
-            wl.catalog.clone(),
-            pruned_cfg.clone().with_scan_threads(threads),
-        );
-        let oracle_pool = Session::new(
-            wl.catalog.clone(),
-            oracle_cfg.clone().with_scan_threads(threads),
-        );
-        let pruned_batch = pruned_pool.run_batch(&plans);
-        let oracle_batch = oracle_pool.run_batch(&plans);
-
-        for (qi, (plan, check)) in queries.iter().enumerate() {
-            let ctx = format!("workload {w} query {qi} (threads {threads})");
-            let ps = pruned_seq
-                .run(plan)
-                .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-            let os = oracle_seq
-                .run(plan)
-                .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-            let pp = pruned_batch[qi]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-            let op = oracle_batch[qi]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+        let (wl, queries) = random_workload(w);
+        let plans = plans_of(&queries);
+        let oracle = Oracle::no_pruning(&wl.catalog, &queries, &format!("workload {w}"));
+        for p in &POINTS {
+            let ctx = format!("workload {w} ({p:?})");
+            let pruned = p.apply(ExecConfig::default());
+            let seq = run_seq(&wl.catalog, &plans, pruned.clone(), &ctx);
             // Pruning must never scan more than the oracle.
-            assert!(
-                ps.report.pruning.partitions_scanned <= os.report.pruning.partitions_scanned,
-                "{ctx}: pruned scanned more than oracle"
-            );
-            for (label, out) in [("seq pruned", &ps), ("seq oracle", &os)] {
-                assert_pipeline_invariant(out, &format!("{ctx} {label}"));
+            for (qi, (ps, os)) in seq.iter().zip(&oracle.outs).enumerate() {
+                assert!(
+                    ps.report.pruning.partitions_scanned <= os.report.pruning.partitions_scanned,
+                    "{ctx} query {qi}: pruned scanned more than oracle"
+                );
             }
-            for (label, out) in [("pool pruned", pp), ("pool oracle", op)] {
-                assert_pipeline_invariant(out, &format!("{ctx} {label}"));
-            }
-            match check {
-                Check::Sorted => {
-                    let expect = canonical(os.rows.rows.clone());
-                    assert_eq!(canonical(ps.rows.rows.clone()), expect, "{ctx}: seq pruned");
-                    assert_eq!(
-                        canonical(pp.rows.rows.clone()),
-                        expect,
-                        "{ctx}: pool pruned"
-                    );
-                    assert_eq!(
-                        canonical(op.rows.rows.clone()),
-                        expect,
-                        "{ctx}: pool oracle"
-                    );
-                }
-                Check::Ordered => {
-                    let expect = &os.rows.rows;
-                    assert_eq!(&ps.rows.rows, expect, "{ctx}: seq pruned (ordered)");
-                    assert_eq!(&pp.rows.rows, expect, "{ctx}: pool pruned (ordered)");
-                    assert_eq!(&op.rows.rows, expect, "{ctx}: pool oracle (ordered)");
-                }
-                Check::Limited { k, unlimited } => {
-                    let full = canonical(oracle_seq.run(unlimited).unwrap().rows.rows);
-                    let expect_len = (*k).min(full.len());
-                    for (label, out) in [
-                        ("seq pruned", &ps),
-                        ("pool pruned", pp),
-                        ("pool oracle", op),
-                    ] {
-                        assert_eq!(out.rows.len(), expect_len, "{ctx}: {label} row count");
-                        for row in &out.rows.rows {
-                            assert!(
-                                full.binary_search_by(|probe| cmp_rows(probe, row)).is_ok(),
-                                "{ctx}: {label} returned a row outside the oracle result"
-                            );
-                        }
-                    }
-                }
-            }
+            oracle.check(&seq, &format!("{ctx} seq pruned"));
+            let pool = run_pooled(&wl.catalog, &plans, pruned, p.scan_threads, &ctx);
+            oracle.check(&pool, &format!("{ctx} pool pruned"));
+            let unpruned = p.apply(ExecConfig::no_pruning());
+            let pool = run_pooled(&wl.catalog, &plans, unpruned, p.scan_threads, &ctx);
+            oracle.check(&pool, &format!("{ctx} pool oracle"));
         }
     }
 }
@@ -292,33 +346,20 @@ fn apply_random_dml(rng: &mut StdRng, session: &Session, wl: &Workload, next_a: 
 /// leg. LIMIT-without-ORDER-BY is deliberately absent: its result set is
 /// legally nondeterministic, so "byte-identical to a cold oracle" is not a
 /// meaningful contract for it (and the engine does not cache it).
-/// Fingerprint modes to sweep: the env override when set (the CI
-/// cache-matrix pins one mode per job), both modes otherwise.
-fn cache_modes() -> Vec<PredicateCacheMode> {
-    match predicate_cache_mode_from_env() {
-        Some(mode) => vec![mode],
-        None => vec![PredicateCacheMode::Exact, PredicateCacheMode::Shape],
-    }
-}
-
+///
 /// §8.2 differential leg: replay every workload's cacheable shapes
 /// cold-then-warm on a cached session, interleaved with random safe and
 /// unsafe DML routed through the session, and require each replay to be
 /// byte-identical to a cold no-pruning oracle run over the live table —
-/// in both fingerprint modes (`SNOWPRUNE_PREDICATE_CACHE_MODE` pins one;
-/// under shape mode the random literal-sharing queries also exercise the
-/// subsumption fallback). `SNOWPRUNE_PREDICATE_CACHE=0` runs the identical
-/// protocol with the cache disabled (the CI matrix covers all settings).
+/// with the cache off, in exact mode and in shape mode (where the random
+/// literal-sharing queries also exercise the subsumption fallback).
 #[test]
 fn predicate_cache_warm_replays_match_cold_oracle() {
-    let threads = pool_threads();
-    let cache_on = predicate_cache_from_env().unwrap_or(true);
-    for mode in cache_modes() {
-        let cfg = ExecConfig::default()
-            .with_prefetch_depth(env_prefetch_depth())
-            .with_batch_rows(env_batch_rows())
-            .with_verify_plans(env_verify_plans())
-            .with_scan_threads(threads)
+    for p in &POINTS {
+        let (cache_on, mode) = (p.predicate_cache, p.predicate_cache_mode);
+        let cfg = p
+            .apply(ExecConfig::default())
+            .with_scan_threads(p.scan_threads)
             .with_predicate_cache(cache_on)
             .with_predicate_cache_mode(mode);
         for w in 0..WORKLOADS {
@@ -330,9 +371,7 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
             let queries = cacheable_queries(&mut rng, &wl);
             let mut next_a = wl.fact_rows as i64 * 1_000;
             for (qi, (plan, check)) in queries.iter().enumerate() {
-                let ctx = format!(
-                    "workload {w} query {qi} (threads {threads}, cache {cache_on}, {mode:?})"
-                );
+                let ctx = format!("workload {w} query {qi} ({p:?})");
                 // Cold run populates the cache (or hits an entry recorded
                 // by a colliding earlier shape — both are fine).
                 let cold = session.run(plan).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
@@ -347,20 +386,10 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
                 let warm = session.run(plan).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
                 let warm2 = session.run(plan).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
                 let oracle_out = oracle.run(plan).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+                let expect = Expect::of(&oracle, &oracle_out, check);
                 for (label, out) in [("warm", &warm), ("warm2", &warm2)] {
                     assert_pipeline_invariant(out, &format!("{ctx} {label}"));
-                    match check {
-                        Check::Sorted => assert_eq!(
-                            canonical(out.rows.rows.clone()),
-                            canonical(oracle_out.rows.rows.clone()),
-                            "{ctx}: {label} diverged from cold oracle"
-                        ),
-                        Check::Ordered => assert_eq!(
-                            &out.rows.rows, &oracle_out.rows.rows,
-                            "{ctx}: {label} diverged from cold oracle (ordered)"
-                        ),
-                        Check::Limited { .. } => unreachable!("not generated here"),
-                    }
+                    expect.assert(out, &format!("{ctx} {label}"));
                 }
                 // With the cache enabled, the second replay (no DML since
                 // the first) must be served — exactly in exact mode, via
@@ -391,7 +420,7 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
                 let stats = session.cache_stats();
                 assert!(
                     stats.hits + stats.shape_hits >= queries.len() as u64,
-                    "workload {w} ({mode:?}): no hits"
+                    "workload {w} ({p:?}): no hits"
                 );
             }
         }
@@ -404,18 +433,14 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
 /// the narrowed replays must be served by subsumption (`ShapeHit`) and in
 /// exact mode they must miss; either way, results after interleaved DML
 /// stay byte-identical to a cold no-pruning oracle over the live table.
+/// The cache is on at every point; only its mode varies.
 #[test]
 fn predicate_cache_shape_subsumption_matches_cold_oracle() {
-    let threads = pool_threads();
-    if !predicate_cache_from_env().unwrap_or(true) {
-        return; // the cache-off matrix leg has nothing to subsume
-    }
-    for mode in cache_modes() {
-        let cfg = ExecConfig::default()
-            .with_prefetch_depth(env_prefetch_depth())
-            .with_batch_rows(env_batch_rows())
-            .with_verify_plans(env_verify_plans())
-            .with_scan_threads(threads)
+    for p in &POINTS {
+        let mode = p.predicate_cache_mode;
+        let cfg = p
+            .apply(ExecConfig::default())
+            .with_scan_threads(p.scan_threads)
             .with_predicate_cache(true)
             .with_predicate_cache_mode(mode);
         for w in 0..WORKLOADS {
@@ -444,7 +469,7 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
                 (topk(k_wide), topk(k_narrow), Check::Ordered),
             ];
             for (pi, (wide, narrow, check)) in pairs.iter().enumerate() {
-                let ctx = format!("workload {w} pair {pi} (threads {threads}, {mode:?})");
+                let ctx = format!("workload {w} pair {pi} ({p:?})");
                 // Fresh session per pair: the wide cold run always records.
                 let session = Session::new(wl.catalog.clone(), cfg.clone());
                 let cold = session.run(wide).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
@@ -471,20 +496,8 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
                 let oracle_out = oracle
                     .run(narrow)
                     .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                let compare = |out: &QueryOutput, oracle_out: &QueryOutput, label: &str| match check
-                {
-                    Check::Sorted => assert_eq!(
-                        canonical(out.rows.rows.clone()),
-                        canonical(oracle_out.rows.rows.clone()),
-                        "{ctx}: {label} diverged from cold oracle"
-                    ),
-                    Check::Ordered => assert_eq!(
-                        &out.rows.rows, &oracle_out.rows.rows,
-                        "{ctx}: {label} diverged from cold oracle (ordered)"
-                    ),
-                    Check::Limited { .. } => unreachable!("not generated here"),
-                };
-                compare(&narrowed, &oracle_out, "narrowed");
+                Expect::of(&oracle, &oracle_out, check)
+                    .assert(&narrowed, &format!("{ctx} narrowed"));
                 assert!(
                     narrowed.io.partitions_loaded <= oracle_out.io.partitions_loaded,
                     "{ctx}: narrowed replay loaded more than the oracle"
@@ -503,7 +516,8 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
                 let oracle_after = oracle
                     .run(narrow)
                     .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                compare(&after_dml, &oracle_after, "after-dml");
+                Expect::of(&oracle, &oracle_after, check)
+                    .assert(&after_dml, &format!("{ctx} after-dml"));
             }
         }
     }
@@ -519,89 +533,24 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
 /// accounting only; it can never change results.
 #[test]
 fn prefetch_depths_match_sequential_oracle() {
-    let threads = pool_threads();
-    let oracle_cfg = ExecConfig::no_pruning()
-        .with_prefetch_depth(1)
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
     for w in 0..WORKLOADS {
-        let seed = 0xD1FF_0000 + w;
-        let wl = build_workload(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let queries = random_queries(&mut rng, &wl);
-        let plans: Vec<Plan> = queries.iter().map(|(p, _)| p.clone()).collect();
-        // Blocking sequential oracle: no pruning, no prefetching. Its runs
-        // are depth-independent and deterministic — execute each query (and
-        // each LIMIT shape's unlimited variant) once, outside the depth
-        // sweep.
-        let oracle = Executor::new(wl.catalog.clone(), oracle_cfg.clone());
-        let oracle_outs: Vec<QueryOutput> = plans
-            .iter()
-            .map(|p| {
-                oracle
-                    .run(p)
-                    .unwrap_or_else(|e| panic!("workload {w} oracle: {e:?}"))
-            })
-            .collect();
-        let oracle_full: Vec<Option<Vec<Vec<Value>>>> = queries
-            .iter()
-            .map(|(_, check)| match check {
-                Check::Limited { unlimited, .. } => {
-                    Some(canonical(oracle.run(unlimited).unwrap().rows.rows))
+        let (wl, queries) = random_workload(w);
+        let plans = plans_of(&queries);
+        let oracle = Oracle::no_pruning(&wl.catalog, &queries, &format!("workload {w}"));
+        for p in &POINTS {
+            for depth in [1usize, 4] {
+                let ctx = format!("workload {w} depth {depth} ({p:?})");
+                let cfg = p.apply(ExecConfig::default()).with_prefetch_depth(depth);
+                let seq = run_seq(&wl.catalog, &plans, cfg.clone(), &ctx);
+                for (qi, (ps, os)) in seq.iter().zip(&oracle.outs).enumerate() {
+                    assert!(
+                        ps.io.bytes_loaded <= os.io.bytes_loaded,
+                        "{ctx} query {qi}: prefetching loaded more bytes than the oracle"
+                    );
                 }
-                _ => None,
-            })
-            .collect();
-
-        for depth in [1usize, 4] {
-            let cfg = ExecConfig::default()
-                .with_prefetch_depth(depth)
-                .with_batch_rows(env_batch_rows())
-                .with_verify_plans(env_verify_plans());
-            let seq = Executor::new(wl.catalog.clone(), cfg.clone());
-            let pool = Session::new(wl.catalog.clone(), cfg.with_scan_threads(threads));
-            let batch = pool.run_batch(&plans);
-            for (qi, (_, check)) in queries.iter().enumerate() {
-                let ctx = format!("workload {w} query {qi} depth {depth} (threads {threads})");
-                let os = &oracle_outs[qi];
-                let ps = seq
-                    .run(&plans[qi])
-                    .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                let pp = batch[qi]
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                assert_pipeline_invariant(&ps, &format!("{ctx} seq"));
-                assert_pipeline_invariant(pp, &format!("{ctx} pool"));
-                assert!(
-                    ps.io.bytes_loaded <= os.io.bytes_loaded,
-                    "{ctx}: prefetching loaded more bytes than the oracle"
-                );
-                match check {
-                    Check::Sorted => {
-                        let expect = canonical(os.rows.rows.clone());
-                        assert_eq!(canonical(ps.rows.rows.clone()), expect, "{ctx}: seq");
-                        assert_eq!(canonical(pp.rows.rows.clone()), expect, "{ctx}: pool");
-                    }
-                    Check::Ordered => {
-                        assert_eq!(&ps.rows.rows, &os.rows.rows, "{ctx}: seq (ordered)");
-                        assert_eq!(&pp.rows.rows, &os.rows.rows, "{ctx}: pool (ordered)");
-                    }
-                    Check::Limited { k, .. } => {
-                        let full = oracle_full[qi]
-                            .as_ref()
-                            .expect("limited oracle precomputed");
-                        let expect_len = (*k).min(full.len());
-                        for (label, out) in [("seq", &ps), ("pool", pp)] {
-                            assert_eq!(out.rows.len(), expect_len, "{ctx}: {label} row count");
-                            for row in &out.rows.rows {
-                                assert!(
-                                    full.binary_search_by(|probe| cmp_rows(probe, row)).is_ok(),
-                                    "{ctx}: {label} row outside the oracle result"
-                                );
-                            }
-                        }
-                    }
-                }
+                oracle.check(&seq, &format!("{ctx} seq"));
+                let pool = run_pooled(&wl.catalog, &plans, cfg, p.scan_threads, &ctx);
+                oracle.check(&pool, &format!("{ctx} pool"));
             }
         }
     }
@@ -629,9 +578,7 @@ fn vectorized_matches_row_oracle() {
 // ---- the batch-native join/agg leg ---------------------------------------
 
 /// Join/aggregation shapes that historically dropped to the row-at-a-time
-/// fallback at the first join or GROUP BY. Both engines must agree on them
-/// whether the batch-native operators are on or off.
-/// Join/aggregation differential: the batch-native operators at
+/// fallback at the first join or GROUP BY: the batch-native operators at
 /// `batch_rows ∈ {1, 3, 1024}` must be indistinguishable from the
 /// row-at-a-time fallback oracle (`batch_native(false)` with
 /// whole-partition windows — exactly the pre-batch execution). On the
@@ -654,118 +601,72 @@ fn joinagg_batch_matches_row_oracle() {
 /// Admission differential: the same seeded workloads' query shapes, run as
 /// admission-controlled multi-tenant bursts (`Session::run_admitted` with
 /// tight per-tenant caps and adaptive prefetch depth), must satisfy the
-/// exact per-shape determinism contract against the sequential pruned
-/// engine — and the rejections themselves must be a pure function of
-/// arrival order and the caps. Afterwards the *same* session re-runs every
-/// plan (including the just-rejected ones) as an ordinary pooled batch: a
+/// exact per-shape determinism contract against the sequential oracle —
+/// and the rejections themselves must be a pure function of arrival order
+/// and the caps. Afterwards the *same* session re-runs every plan
+/// (including the just-rejected ones) as an ordinary pooled batch: a
 /// rejected query must leave no stranded morsels or lane state behind, so
 /// the follow-up batch completes and matches the oracle too.
 ///
-/// The caps honour `SNOWPRUNE_TENANT_MAX_CONCURRENT` /
-/// `SNOWPRUNE_ADMISSION_QUEUE_CAP` (the CI pool matrix sweeps the
-/// concurrency cap); the default 1 running + 1 queued rejects each
-/// tenant's third arrival, while wider caps exercise the all-admitted
-/// windowed dispatch path.
+/// One arrival may queue behind each tenant's in-flight window; a cap of 1
+/// running + 1 queued rejects each tenant's third arrival, while the wider
+/// cap exercises the all-admitted windowed dispatch path.
 #[test]
 fn admitted_bursts_match_sequential_oracle_and_leave_no_residue() {
-    let threads = pool_threads();
-    let c = tenant_max_concurrent_from_env().unwrap_or(1);
-    let q = admission_queue_cap_from_env().unwrap_or(1);
-    // Per-tenant admission window: arrivals past `c + q` are rejected.
-    let cap = c + q;
-    let cfg = ExecConfig::default()
-        .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans())
-        .with_scan_threads(threads)
-        .with_tenant_max_concurrent(c)
-        .with_admission_queue_cap(q)
-        .with_adaptive_prefetch(true)
-        .with_prefetch_max_depth(6);
+    const QUEUE_CAP: usize = 1;
     for w in 0..WORKLOADS / 2 {
-        let seed = 0xD1FF_0000 + w;
-        let wl = build_workload(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let queries = random_queries(&mut rng, &wl);
-        let plans: Vec<Plan> = queries.iter().map(|(p, _)| p.clone()).collect();
+        let (wl, queries) = random_workload(w);
+        let plans = plans_of(&queries);
         let arrivals: Vec<(u64, Plan)> = plans
             .iter()
             .enumerate()
             .map(|(i, p)| ((i % 2) as u64, p.clone()))
             .collect();
-
-        let oracle = Executor::new(
-            wl.catalog.clone(),
-            ExecConfig::default()
-                .with_prefetch_depth(env_prefetch_depth())
-                .with_batch_rows(env_batch_rows())
-                .with_verify_plans(env_verify_plans()),
-        );
-        let session = Session::new(wl.catalog.clone(), cfg.clone());
-        let run = session.run_admitted(&arrivals);
-        assert_eq!(run.outcomes.len(), arrivals.len());
-
-        let check_output = |out: &QueryOutput, qi: usize, label: &str| {
-            let ctx = format!("workload {w} query {qi} (threads {threads})");
-            assert_pipeline_invariant(out, &format!("{ctx} {label}"));
-            let os = oracle
-                .run(&plans[qi])
-                .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-            match &queries[qi].1 {
-                Check::Sorted => assert_eq!(
-                    canonical(out.rows.rows.clone()),
-                    canonical(os.rows.rows),
-                    "{ctx}: {label} diverged from the sequential oracle"
-                ),
-                Check::Ordered => assert_eq!(
-                    &out.rows.rows, &os.rows.rows,
-                    "{ctx}: {label} diverged from the sequential oracle (ordered)"
-                ),
-                Check::Limited { k, unlimited } => {
-                    let full = canonical(oracle.run(unlimited).unwrap().rows.rows);
-                    assert_eq!(
-                        out.rows.len(),
-                        (*k).min(full.len()),
-                        "{ctx}: {label} row count"
+        let oracle = Oracle::no_pruning(&wl.catalog, &queries, &format!("workload {w}"));
+        for p in &POINTS {
+            let ctx = format!("workload {w} ({p:?})");
+            // Per-tenant admission window: arrivals past `cap` are rejected.
+            let cap = p.tenant_max_concurrent + QUEUE_CAP;
+            let cfg = p
+                .apply(ExecConfig::default())
+                .with_scan_threads(p.scan_threads)
+                .with_tenant_max_concurrent(p.tenant_max_concurrent)
+                .with_admission_queue_cap(QUEUE_CAP)
+                .with_adaptive_prefetch(true)
+                .with_prefetch_max_depth(6);
+            let session = Session::new(wl.catalog.clone(), cfg);
+            let run = session.run_admitted(&arrivals);
+            assert_eq!(run.outcomes.len(), arrivals.len());
+            for (qi, outcome) in run.outcomes.iter().enumerate() {
+                // Burst admission over alternating arrivals: arrival `qi` is
+                // its tenant's `qi / 2`-th query, rejected exactly when that
+                // index overflows the `cap`-wide window — independent of
+                // timing, depth, or pool size.
+                if qi / 2 >= cap {
+                    assert!(
+                        outcome.is_rejected(),
+                        "{ctx}: arrival {qi} overflowed its tenant window (cap {cap}) \
+                         and must be rejected"
                     );
-                    for row in &out.rows.rows {
-                        assert!(
-                            full.binary_search_by(|probe| cmp_rows(probe, row)).is_ok(),
-                            "{ctx}: {label} returned a row outside the oracle result"
-                        );
-                    }
+                    continue;
                 }
+                let out = outcome
+                    .output()
+                    .unwrap_or_else(|| panic!("{ctx}: arrival {qi} must be admitted"));
+                let ctx = format!("{ctx} query {qi} admitted");
+                assert_pipeline_invariant(out, &ctx);
+                oracle.expect[qi].assert(out, &ctx);
             }
-        };
-
-        for (qi, outcome) in run.outcomes.iter().enumerate() {
-            // Burst admission over alternating arrivals: arrival `qi` is
-            // its tenant's `qi / 2`-th query, rejected exactly when that
-            // index overflows the `cap`-wide window — independent of
-            // timing, depth, or pool size.
-            if qi / 2 >= cap {
-                assert!(
-                    outcome.is_rejected(),
-                    "workload {w}: arrival {qi} overflowed its tenant window (cap {cap}) \
-                     and must be rejected"
-                );
-                continue;
-            }
-            let out = outcome
-                .output()
-                .unwrap_or_else(|| panic!("workload {w}: arrival {qi} must be admitted"));
-            check_output(out, qi, "admitted");
-        }
-
-        // No residue: the same session (same pool, same lanes) runs every
-        // plan again as a plain batch — the rejected arrivals' lanes must
-        // not exist, and nothing may block or diverge.
-        let batch = session.run_batch(&plans);
-        for (qi, res) in batch.iter().enumerate() {
-            let out = res
-                .as_ref()
-                .unwrap_or_else(|e| panic!("workload {w} follow-up query {qi}: {e:?}"));
-            check_output(out, qi, "follow-up batch");
+            // No residue: the same session (same pool, same lanes) runs
+            // every plan again as a plain batch — the rejected arrivals'
+            // lanes must not exist, and nothing may block or diverge.
+            let batch: Vec<QueryOutput> = session
+                .run_batch(&plans)
+                .into_iter()
+                .enumerate()
+                .map(|(qi, r)| r.unwrap_or_else(|e| panic!("{ctx} follow-up query {qi}: {e:?}")))
+                .collect();
+            oracle.check(&batch, &format!("{ctx} follow-up batch"));
         }
     }
 }
@@ -773,112 +674,59 @@ fn admitted_bursts_match_sequential_oracle_and_leave_no_residue() {
 /// Shared harness for the vectorized and join/agg legs: for each seeded
 /// workload, run `make_queries` shapes on sequential and pooled engines at
 /// `batch_rows ∈ {1, 3, 1024}` against a sequential whole-partition oracle
-/// built from `oracle_base` (row-fallback when `batch_native` is off).
+/// built from `oracle_base` (row-fallback when `batch_native` is off) at
+/// the same prefetch depth — the full [`IoSnapshot`] depends on it.
 fn run_batch_size_sweep(
-    make_queries: fn(&mut StdRng, &Workload) -> Vec<(Plan, Check)>,
+    make_queries: MakeQueries,
     seed_base: u64,
     seed_mix: u64,
     oracle_base: ExecConfig,
 ) {
-    let threads = pool_threads();
-    let base_cfg = ExecConfig::default().with_prefetch_depth(env_prefetch_depth());
     for w in 0..WORKLOADS {
-        let seed = seed_base + w;
-        let wl = build_workload(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ seed_mix);
-        let queries = make_queries(&mut rng, &wl);
-        let plans: Vec<Plan> = queries.iter().map(|(p, _)| p.clone()).collect();
-
-        // Whole-partition row-order oracle: sequential, all pruning on.
-        let oracle = Executor::new(
-            wl.catalog.clone(),
-            oracle_base
-                .clone()
-                .with_prefetch_depth(env_prefetch_depth())
-                .with_batch_rows(usize::MAX),
-        );
-        let oracle_outs: Vec<QueryOutput> = plans
-            .iter()
-            .map(|p| {
-                oracle
-                    .run(p)
-                    .unwrap_or_else(|e| panic!("workload {w} oracle: {e:?}"))
-            })
-            .collect();
-        let oracle_full: Vec<Option<Vec<Vec<Value>>>> = queries
-            .iter()
-            .map(|(_, check)| match check {
-                Check::Limited { unlimited, .. } => {
-                    Some(canonical(oracle.run(unlimited).unwrap().rows.rows))
+        let (wl, queries) = corpus(make_queries, seed_base, seed_mix, w);
+        let plans = plans_of(&queries);
+        let mut oracles: BTreeMap<usize, Oracle> = BTreeMap::new();
+        for p in &POINTS {
+            let oracle = oracles.entry(p.prefetch_depth).or_insert_with(|| {
+                let cfg = oracle_base
+                    .clone()
+                    .with_prefetch_depth(p.prefetch_depth)
+                    .with_batch_rows(usize::MAX);
+                Oracle::new(&wl.catalog, cfg, &queries, &format!("workload {w}"))
+            });
+            for batch_rows in [1usize, 3, 1024] {
+                let ctx = format!("workload {w} batch_rows {batch_rows} ({p:?})");
+                let cfg = p.apply(ExecConfig::default()).with_batch_rows(batch_rows);
+                let seq = run_seq(&wl.catalog, &plans, cfg.clone(), &ctx);
+                for (qi, (ps, os)) in seq.iter().zip(&oracle.outs).enumerate() {
+                    let ctx = format!("{ctx} query {qi} seq");
+                    assert_pipeline_invariant(ps, &ctx);
+                    // Sequential: the batch size must be invisible, bit for
+                    // bit.
+                    assert_eq!(
+                        &ps.rows.rows, &os.rows.rows,
+                        "{ctx}: rows diverged from the whole-partition oracle"
+                    );
+                    assert_eq!(
+                        ps.io, os.io,
+                        "{ctx}: I/O accounting moved with the batch size"
+                    );
+                    assert_eq!(
+                        ps.report.scan_stats, os.report.scan_stats,
+                        "{ctx}: scan counters moved with the batch size"
+                    );
+                    assert_eq!(
+                        ps.report.pruning, os.report.pruning,
+                        "{ctx}: pruning report moved with the batch size"
+                    );
+                    assert_eq!(
+                        ps.report.bloom_skipped_rows, os.report.bloom_skipped_rows,
+                        "{ctx}: bloom-skip accounting diverged"
+                    );
                 }
-                _ => None,
-            })
-            .collect();
-
-        for batch_rows in [1usize, 3, 1024] {
-            let cfg = base_cfg.clone().with_batch_rows(batch_rows);
-            let seq = Executor::new(wl.catalog.clone(), cfg.clone());
-            let pool = Session::new(wl.catalog.clone(), cfg.with_scan_threads(threads));
-            let batch = pool.run_batch(&plans);
-            for (qi, (_, check)) in queries.iter().enumerate() {
-                let ctx =
-                    format!("workload {w} query {qi} batch_rows {batch_rows} (threads {threads})");
-                let os = &oracle_outs[qi];
-                let ps = seq
-                    .run(&plans[qi])
-                    .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                let pp = batch[qi]
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
-                assert_pipeline_invariant(&ps, &format!("{ctx} seq"));
-                assert_pipeline_invariant(pp, &format!("{ctx} pool"));
-                // Sequential: the batch size must be invisible, bit for bit.
-                assert_eq!(
-                    &ps.rows.rows, &os.rows.rows,
-                    "{ctx}: seq rows diverged from the whole-partition oracle"
-                );
-                assert_eq!(
-                    ps.io, os.io,
-                    "{ctx}: seq I/O accounting moved with the batch size"
-                );
-                assert_eq!(
-                    ps.report.scan_stats, os.report.scan_stats,
-                    "{ctx}: seq scan counters moved with the batch size"
-                );
-                assert_eq!(
-                    ps.report.pruning, os.report.pruning,
-                    "{ctx}: seq pruning report moved with the batch size"
-                );
-                assert_eq!(
-                    ps.report.bloom_skipped_rows, os.report.bloom_skipped_rows,
-                    "{ctx}: seq bloom-skip accounting diverged"
-                );
                 // Pooled: per-shape determinism contract.
-                match check {
-                    Check::Sorted => {
-                        assert_eq!(
-                            canonical(pp.rows.rows.clone()),
-                            canonical(os.rows.rows.clone()),
-                            "{ctx}: pool"
-                        );
-                    }
-                    Check::Ordered => {
-                        assert_eq!(&pp.rows.rows, &os.rows.rows, "{ctx}: pool (ordered)");
-                    }
-                    Check::Limited { k, .. } => {
-                        let full = oracle_full[qi]
-                            .as_ref()
-                            .expect("limited oracle precomputed");
-                        let expect_len = (*k).min(full.len());
-                        assert_eq!(pp.rows.len(), expect_len, "{ctx}: pool row count");
-                        for row in &pp.rows.rows {
-                            assert!(
-                                full.binary_search_by(|probe| cmp_rows(probe, row)).is_ok(),
-                                "{ctx}: pool row outside the oracle result"
-                            );
-                        }
-                    }
-                }
+                let pool = run_pooled(&wl.catalog, &plans, cfg, p.scan_threads, &ctx);
+                oracle.check(&pool, &format!("{ctx} pool"));
             }
         }
     }
@@ -897,21 +745,14 @@ fn sql_round_trip_is_byte_identical_across_50_workloads() {
     use snowprune::sql::{bind_sql, Statement};
     use snowprune::workload::emit_sql;
 
-    let threads = pool_threads();
-    let cfg = ExecConfig::default()
-        .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
     for w in 0..WORKLOADS {
-        let seed = 0xD1FF_0000 + w;
-        let wl = build_workload(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let queries = random_queries(&mut rng, &wl);
+        let (wl, queries) = random_workload(w);
+        let hand_plans = plans_of(&queries);
 
         // Emit + parse + bind: the lowered plan must equal the hand-built
         // one structurally, before anything executes.
         let mut lowered_plans = Vec::with_capacity(queries.len());
-        for (qi, (plan, _)) in queries.iter().enumerate() {
+        for (qi, plan) in hand_plans.iter().enumerate() {
             let ctx = format!("workload {w} query {qi}");
             let sql =
                 emit_sql(plan).unwrap_or_else(|| panic!("{ctx}: no SQL spelling for\n{plan}"));
@@ -924,62 +765,33 @@ fn sql_round_trip_is_byte_identical_across_50_workloads() {
             lowered_plans.push(lowered);
         }
 
-        // Sequential: fresh engines per side, so per-query IO snapshots of
-        // structurally equal plans must agree bit for bit.
-        let hand_seq = Executor::new(wl.catalog.clone(), cfg.clone());
-        let sql_seq = Executor::new(wl.catalog.clone(), cfg.clone());
-        for (qi, (plan, _)) in queries.iter().enumerate() {
-            let ctx = format!("workload {w} query {qi} (sequential)");
-            let h = hand_seq
-                .run(plan)
-                .unwrap_or_else(|e| panic!("{ctx}: hand-built: {e:?}"));
-            let s = sql_seq
-                .run(&lowered_plans[qi])
-                .unwrap_or_else(|e| panic!("{ctx}: lowered: {e:?}"));
-            assert_eq!(s.rows.rows, h.rows.rows, "{ctx}: rows diverge");
-            assert_eq!(s.io, h.io, "{ctx}: IO snapshots diverge");
-            assert_eq!(
-                s.report.pruning.partitions_scanned, h.report.pruning.partitions_scanned,
-                "{ctx}: pruning effectiveness diverges"
-            );
-        }
+        for p in &POINTS {
+            let cfg = p.apply(ExecConfig::default());
+            // Sequential: fresh engines per side, so per-query IO snapshots
+            // of structurally equal plans must agree bit for bit.
+            let ctx = format!("workload {w} ({p:?}) sequential");
+            let hand = run_seq(&wl.catalog, &hand_plans, cfg.clone(), &ctx);
+            let lowered = run_seq(&wl.catalog, &lowered_plans, cfg.clone(), &ctx);
+            for (qi, (h, s)) in hand.iter().zip(&lowered).enumerate() {
+                let ctx = format!("{ctx} query {qi}");
+                assert_eq!(s.rows.rows, h.rows.rows, "{ctx}: rows diverge");
+                assert_eq!(s.io, h.io, "{ctx}: IO snapshots diverge");
+                assert_eq!(
+                    s.report.pruning.partitions_scanned, h.report.pruning.partitions_scanned,
+                    "{ctx}: pruning effectiveness diverges"
+                );
+            }
 
-        // Pooled: the whole lowered workload runs as one concurrent batch;
-        // compare against the hand-built batch under each shape's check
-        // contract (pool scheduling may legally reorder Sorted results).
-        let hand_pool = Session::new(wl.catalog.clone(), cfg.clone().with_scan_threads(threads));
-        let sql_pool = Session::new(wl.catalog.clone(), cfg.clone().with_scan_threads(threads));
-        let hand_plans: Vec<Plan> = queries.iter().map(|(p, _)| p.clone()).collect();
-        let hand_batch = hand_pool.run_batch(&hand_plans);
-        let sql_batch = sql_pool.run_batch(&lowered_plans);
-        for (qi, (_, check)) in queries.iter().enumerate() {
-            let ctx = format!("workload {w} query {qi} (pooled, threads {threads})");
-            let h = hand_batch[qi]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{ctx}: hand-built: {e:?}"));
-            let s = sql_batch[qi]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{ctx}: lowered: {e:?}"));
-            match check {
-                Check::Sorted => assert_eq!(
-                    canonical(s.rows.rows.clone()),
-                    canonical(h.rows.rows.clone()),
-                    "{ctx}: row multisets diverge"
-                ),
-                Check::Ordered => {
-                    assert_eq!(s.rows.rows, h.rows.rows, "{ctx}: ordered rows diverge")
-                }
-                Check::Limited { k, unlimited } => {
-                    let full = canonical(hand_seq.run(unlimited).unwrap().rows.rows);
-                    let expect_len = (*k).min(full.len());
-                    assert_eq!(s.rows.len(), expect_len, "{ctx}: lowered row count");
-                    for row in &s.rows.rows {
-                        assert!(
-                            full.binary_search_by(|probe| cmp_rows(probe, row)).is_ok(),
-                            "{ctx}: lowered plan returned a row outside the oracle result"
-                        );
-                    }
-                }
+            // Pooled: the whole lowered workload runs as one concurrent
+            // batch; compare against the hand-built batch under each
+            // shape's check contract (pool scheduling may legally reorder
+            // Sorted results).
+            let ctx = format!("workload {w} ({p:?}) pooled");
+            let hand_seq = Executor::new(wl.catalog.clone(), cfg.clone());
+            let hand = run_pooled(&wl.catalog, &hand_plans, cfg.clone(), p.scan_threads, &ctx);
+            let lowered = run_pooled(&wl.catalog, &lowered_plans, cfg, p.scan_threads, &ctx);
+            for (qi, ((h, s), (_, check))) in hand.iter().zip(&lowered).zip(&queries).enumerate() {
+                Expect::of(&hand_seq, h, check).assert(s, &format!("{ctx} query {qi} lowered"));
             }
         }
     }

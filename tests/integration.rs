@@ -4,7 +4,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweak idiom
 
-use snowprune::cache::{CacheLookup, DmlKind, PredicateCache};
+use snowprune::cache::CacheLookup;
 use snowprune::plan::{fingerprint, FingerprintMode};
 use snowprune::prelude::*;
 
@@ -99,46 +99,29 @@ fn predicate_cache_round_trip_with_dml() {
         .limit(5)
         .build();
     let fp = fingerprint(&plan, FingerprintMode::Exact);
-    let mut cache = PredicateCache::new(8);
-    // Populate from the exact contributing partitions.
-    let parts = {
-        let t = handle.read();
-        snowprune::cache::contributing_partitions_topk(&t, None, "reading", 5, true).unwrap()
-    };
-    cache.insert(
-        fp,
-        snowprune::cache::CacheEntry {
-            kind: snowprune::cache::EntryKind::TopK {
-                order_column: "reading".into(),
-            },
-            table: "readings".into(),
-            partitions: parts.clone(),
-            predicate_columns: Vec::new(),
-            table_version: handle.read().version(),
-            appended: Vec::new(),
-            shape: None,
-            aux_tables: Vec::new(),
-            saved_loads: 0,
-        },
+    // The engine populates the cache: a cold run records the partitions
+    // of its top-k survivors.
+    let session = Session::new(
+        catalog.clone(),
+        ExecConfig::default().with_predicate_cache(true),
     );
-    // Replaying the cached partitions reproduces the exact top-k multiset.
-    let expected: Vec<Value> = {
-        let exec = Executor::new(catalog.clone(), ExecConfig::default());
-        exec.run(&plan)
-            .unwrap()
-            .rows
-            .rows
-            .iter()
-            .map(|r| r[2].clone())
-            .collect()
-    };
-    let CacheLookup::Hit(cached) = cache.lookup(fp, handle.read().version()) else {
+    let expected: Vec<i64> = session
+        .run(&plan)
+        .unwrap()
+        .rows
+        .rows
+        .iter()
+        .map(|r| r[2].as_i64().unwrap())
+        .collect();
+    let cache = session.cache().unwrap();
+    let CacheLookup::Hit(parts) = cache.lock().lookup(fp, handle.read().version()) else {
         panic!("expected hit");
     };
+    // Replaying the cached partitions reproduces the exact top-k multiset.
     let mut replayed: Vec<i64> = Vec::new();
     {
         let t = handle.read();
-        for id in cached {
+        for &id in &parts {
             let p = t.partition(id).unwrap();
             for i in 0..p.row_count() {
                 replayed.push(p.column(2).value_at(i).as_i64().unwrap());
@@ -147,26 +130,31 @@ fn predicate_cache_round_trip_with_dml() {
     }
     replayed.sort_unstable_by(|a, b| b.cmp(a));
     replayed.truncate(5);
-    let expected_ints: Vec<i64> = expected.iter().map(|v| v.as_i64().unwrap()).collect();
-    assert_eq!(replayed, expected_ints);
+    assert_eq!(replayed, expected);
     // INSERT with a new global maximum: cache appends the new partition, so
     // replay still finds the new top-1.
-    let res = handle.write().insert_rows(vec![vec![
-        Value::Int(1_000),
-        Value::Str("s_new".into()),
-        Value::Int(99_999_999),
-    ]]);
-    cache.on_dml("readings", &DmlKind::Insert, &res);
-    let CacheLookup::Hit(after_insert) = cache.lookup(fp, handle.read().version()) else {
+    session
+        .insert_rows(
+            "readings",
+            vec![vec![
+                Value::Int(1_000),
+                Value::Str("s_new".into()),
+                Value::Int(99_999_999),
+            ]],
+        )
+        .unwrap();
+    let CacheLookup::Hit(after_insert) = cache.lock().lookup(fp, handle.read().version()) else {
         panic!("insert must not invalidate");
     };
     assert!(after_insert.len() > parts.len());
     // DELETE invalidates the top-k entry.
-    let res = handle
-        .write()
-        .delete_rows(|r| r[2] == Value::Int(99_999_999));
-    cache.on_dml("readings", &DmlKind::Delete, &res);
-    assert_eq!(cache.lookup(fp, handle.read().version()), CacheLookup::Miss);
+    session
+        .delete_rows("readings", |r| r[2] == Value::Int(99_999_999))
+        .unwrap();
+    assert_eq!(
+        cache.lock().lookup(fp, handle.read().version()),
+        CacheLookup::Miss
+    );
 }
 
 #[test]

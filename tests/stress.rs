@@ -11,35 +11,20 @@
 //! skips mid-flight) are covered by the differential and property suites,
 //! which check result-invariance rather than counter equality.
 //!
-//! Worker count honours `SNOWPRUNE_SCAN_THREADS` (CI matrix: 1, 4, 8) and
-//! the prefetch depth honours `SNOWPRUNE_PREFETCH_DEPTH` (CI: 1, 8);
-//! defaults are the issue's 4-worker / depth-2 scenario. A second leg runs
-//! a mixed-depth pool (depths 1, 2, 8 round-robin across queries sharing
-//! one pool) and must be equally reproducible.
+//! Every leg runs at every engine configuration in `common/lattice.rs`
+//! (pool size × prefetch depth, batch size, plan verifier); the
+//! mixed-depth leg keeps its own depths (1, 2, 8 round-robin across
+//! queries sharing one pool) and must be equally reproducible.
 
-use snowprune::exec::{
-    batch_rows_from_env, prefetch_depth_from_env, scan_threads_from_env, verify_plans_from_env,
-};
+mod common {
+    pub mod lattice;
+}
+
+use common::lattice::POINTS;
 use snowprune::prelude::*;
 
 const RUNS: usize = 100;
 const QUERIES: usize = 16;
-
-fn pool_threads() -> usize {
-    scan_threads_from_env().unwrap_or(4)
-}
-
-fn env_prefetch_depth() -> usize {
-    prefetch_depth_from_env().unwrap_or(2)
-}
-
-fn env_batch_rows() -> usize {
-    batch_rows_from_env().unwrap_or(ExecConfig::default().batch_rows)
-}
-
-fn env_verify_plans() -> bool {
-    verify_plans_from_env().unwrap_or(ExecConfig::default().verify_plans)
-}
 
 fn catalog() -> Catalog {
     let fact_schema = Schema::new(vec![
@@ -166,49 +151,45 @@ fn fingerprint(out: &QueryOutput) -> Fingerprint {
 
 #[test]
 fn sixteen_queries_on_shared_pool_are_exactly_reproducible() {
-    let threads = pool_threads();
     let catalog = catalog();
     let plans = queries(&catalog);
-    let cfg = ExecConfig::default()
-        .with_scan_threads(threads)
-        .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+    for p in &POINTS {
+        let cfg = p
+            .apply(ExecConfig::default())
+            .with_scan_threads(p.scan_threads);
 
-    let run_once = || -> Vec<Fingerprint> {
-        let session = Session::new(catalog.clone(), cfg.clone());
-        session
-            .run_batch(&plans)
-            .into_iter()
-            .map(|r| fingerprint(&r.expect("query failed")))
-            .collect()
-    };
+        let run_once = || -> Vec<Fingerprint> {
+            let session = Session::new(catalog.clone(), cfg.clone());
+            session
+                .run_batch(&plans)
+                .into_iter()
+                .map(|r| fingerprint(&r.expect("query failed")))
+                .collect()
+        };
 
-    let reference = run_once();
-    // Sanity: the workload actually exercises each pruning technique and
-    // per-query accounting is self-consistent.
-    assert!(reference.iter().any(|f| f.pruned_by_filter > 0));
-    assert!(reference.iter().any(|f| f.pruned_by_limit > 0));
-    assert!(reference.iter().any(|f| f.pruned_by_join > 0));
-    for f in &reference {
-        assert_eq!(f.partitions_scanned, f.io.partitions_loaded);
-        assert_eq!(f.row_count, f.rows_sorted.len());
-        // Pipeline invariant and load/record lockstep.
-        assert_eq!(
-            f.scan.loaded + f.scan.skipped_by_boundary + f.scan.cancelled_in_flight(),
-            f.scan.considered
-        );
-        assert_eq!(f.scan.loaded, f.io.partitions_loaded);
-        assert_eq!(f.scan.cancelled_in_flight(), f.io.loads_cancelled);
-    }
-
-    for run in 1..RUNS {
-        let got = run_once();
-        for (qi, (g, r)) in got.iter().zip(&reference).enumerate() {
+        let reference = run_once();
+        // Sanity: the workload actually exercises each pruning technique
+        // and per-query accounting is self-consistent.
+        assert!(reference.iter().any(|f| f.pruned_by_filter > 0));
+        assert!(reference.iter().any(|f| f.pruned_by_limit > 0));
+        assert!(reference.iter().any(|f| f.pruned_by_join > 0));
+        for f in &reference {
+            assert_eq!(f.partitions_scanned, f.io.partitions_loaded);
+            assert_eq!(f.row_count, f.rows_sorted.len());
+            // Pipeline invariant and load/record lockstep.
             assert_eq!(
-                g, r,
-                "run {run} query {qi} diverged on a {threads}-worker pool"
+                f.scan.loaded + f.scan.skipped_by_boundary + f.scan.cancelled_in_flight(),
+                f.scan.considered
             );
+            assert_eq!(f.scan.loaded, f.io.partitions_loaded);
+            assert_eq!(f.scan.cancelled_in_flight(), f.io.loads_cancelled);
+        }
+
+        for run in 1..RUNS {
+            let got = run_once();
+            for (qi, (g, r)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(g, r, "run {run} query {qi} diverged at {p:?}");
+            }
         }
     }
 }
@@ -247,52 +228,58 @@ fn admitted_multi_tenant_burst_is_exactly_reproducible() {
             (tenant, q.plan.clone())
         })
         .collect();
-    let cfg = ExecConfig::default()
-        .with_scan_threads(pool_threads())
-        .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans())
-        .with_tenant_max_concurrent(2)
-        .with_admission_queue_cap(6)
-        .with_adaptive_prefetch(true)
-        .with_prefetch_max_depth(8);
+    for p in &POINTS {
+        let cfg = p
+            .apply(ExecConfig::default())
+            .with_scan_threads(p.scan_threads)
+            .with_tenant_max_concurrent(2)
+            .with_admission_queue_cap(6)
+            .with_adaptive_prefetch(true)
+            .with_prefetch_max_depth(8);
 
-    let run_once = || -> (Vec<Option<Fingerprint>>, Vec<TenantStats>) {
-        let session = Session::new(wl.catalog.clone(), cfg.clone());
-        let run = session.run_admitted(&arrivals);
-        let outcomes = run
-            .outcomes
-            .iter()
-            .map(|o| o.output().map(fingerprint))
-            .collect();
-        (outcomes, run.tenants)
-    };
+        let run_once = || -> (Vec<Option<Fingerprint>>, Vec<TenantStats>) {
+            let session = Session::new(wl.catalog.clone(), cfg.clone());
+            let run = session.run_admitted(&arrivals);
+            let outcomes = run
+                .outcomes
+                .iter()
+                .map(|o| o.output().map(fingerprint))
+                .collect();
+            (outcomes, run.tenants)
+        };
 
-    let (ref_outcomes, ref_tenants) = run_once();
-    // The skewed burst must actually exercise admission control: the Zipf
-    // head tenants overflow their 2-running + 6-queued windows.
-    let rejected = ref_outcomes.iter().filter(|o| o.is_none()).count();
-    assert!(rejected > 0, "no rejections: the burst never hit the caps");
-    assert!(
-        ref_outcomes.len() - rejected >= 128,
-        "most of the burst should still be admitted"
-    );
-    assert_eq!(ref_tenants.len(), scale.tenants);
-    for t in &ref_tenants {
+        let (ref_outcomes, ref_tenants) = run_once();
+        // The skewed burst must actually exercise admission control: the
+        // Zipf head tenants overflow their 2-running + 6-queued windows.
+        let rejected = ref_outcomes.iter().filter(|o| o.is_none()).count();
+        assert!(rejected > 0, "no rejections: the burst never hit the caps");
         assert!(
-            t.depth_hist.iter().all(|&d| (1..=8).contains(&d)),
-            "tenant {} adaptive depth out of bounds: {:?}",
-            t.tenant,
-            t.depth_hist
+            ref_outcomes.len() - rejected >= 128,
+            "most of the burst should still be admitted"
         );
-    }
-
-    for run in 1..RUNS {
-        let (outcomes, tenants) = run_once();
-        for (qi, (g, r)) in outcomes.iter().zip(&ref_outcomes).enumerate() {
-            assert_eq!(g, r, "run {run} arrival {qi} diverged under admission");
+        assert_eq!(ref_tenants.len(), scale.tenants);
+        for t in &ref_tenants {
+            assert!(
+                t.depth_hist.iter().all(|&d| (1..=8).contains(&d)),
+                "tenant {} adaptive depth out of bounds: {:?}",
+                t.tenant,
+                t.depth_hist
+            );
         }
-        assert_eq!(tenants, ref_tenants, "run {run} TenantStats diverged");
+
+        for run in 1..RUNS {
+            let (outcomes, tenants) = run_once();
+            for (qi, (g, r)) in outcomes.iter().zip(&ref_outcomes).enumerate() {
+                assert_eq!(
+                    g, r,
+                    "run {run} arrival {qi} diverged under admission at {p:?}"
+                );
+            }
+            assert_eq!(
+                tenants, ref_tenants,
+                "run {run} TenantStats diverged at {p:?}"
+            );
+        }
     }
 }
 
@@ -305,67 +292,67 @@ fn admitted_multi_tenant_burst_is_exactly_reproducible() {
 #[test]
 fn mixed_prefetch_depth_pool_runs_are_reproducible() {
     const DEPTHS: [usize; 3] = [1, 2, 8];
-    let threads = pool_threads();
     let catalog = catalog();
     let plans = queries(&catalog);
-    let base = ExecConfig::default()
-        .with_scan_threads(threads)
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+    for p in &POINTS {
+        let base = p
+            .apply(ExecConfig::default())
+            .with_scan_threads(p.scan_threads);
 
-    let run_once = || -> Vec<Fingerprint> {
-        let pool = MorselPool::new(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
+        let run_once = || -> Vec<Fingerprint> {
+            let pool = MorselPool::new(p.scan_threads);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = plans
+                    .iter()
+                    .enumerate()
+                    .map(|(i, plan)| {
+                        let cfg = base.clone().with_prefetch_depth(DEPTHS[i % DEPTHS.len()]);
+                        let pool = std::sync::Arc::clone(&pool);
+                        let exec = Executor::with_pool(catalog.clone(), cfg, pool);
+                        scope.spawn(move || exec.run(plan).expect("query failed"))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| fingerprint(&h.join().expect("driver panicked")))
+                    .collect()
+            })
+        };
+
+        let reference = run_once();
+        for (qi, f) in reference.iter().enumerate() {
+            assert_eq!(
+                f.scan.loaded + f.scan.skipped_by_boundary + f.scan.cancelled_in_flight(),
+                f.scan.considered,
+                "query {qi} violates the pipeline invariant at {p:?}"
+            );
+            assert_eq!(f.scan.loaded, f.io.partitions_loaded, "query {qi} at {p:?}");
+        }
+        // Depth must not change which partitions load for these shapes —
+        // only the overlap accounting; depth-1 lanes can never overlap.
+        for (qi, f) in reference.iter().enumerate() {
+            if qi % DEPTHS.len() == 0 {
+                assert_eq!(f.io.io_overlapped_ns, 0, "depth-1 query {qi} overlapped");
+            }
+        }
+        assert!(
+            reference
                 .iter()
                 .enumerate()
-                .map(|(i, plan)| {
-                    let cfg = base.clone().with_prefetch_depth(DEPTHS[i % DEPTHS.len()]);
-                    let exec =
-                        Executor::with_pool(catalog.clone(), cfg, std::sync::Arc::clone(&pool));
-                    scope.spawn(move || exec.run(plan).expect("query failed"))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| fingerprint(&h.join().expect("driver panicked")))
-                .collect()
-        })
-    };
-
-    let reference = run_once();
-    for (qi, f) in reference.iter().enumerate() {
-        assert_eq!(
-            f.scan.loaded + f.scan.skipped_by_boundary + f.scan.cancelled_in_flight(),
-            f.scan.considered,
-            "query {qi} violates the pipeline invariant"
+                .any(|(qi, f)| qi % DEPTHS.len() != 0 && f.io.io_overlapped_ns > 0),
+            "deeper lanes should overlap some I/O at {p:?}"
         );
-        assert_eq!(f.scan.loaded, f.io.partitions_loaded, "query {qi}");
-    }
-    // Depth must not change which partitions load for these shapes — only
-    // the overlap accounting; depth-1 lanes can never overlap.
-    for (qi, f) in reference.iter().enumerate() {
-        if qi % DEPTHS.len() == 0 {
-            assert_eq!(f.io.io_overlapped_ns, 0, "depth-1 query {qi} overlapped");
-        }
-    }
-    assert!(
-        reference
-            .iter()
-            .enumerate()
-            .any(|(qi, f)| qi % DEPTHS.len() != 0 && f.io.io_overlapped_ns > 0),
-        "deeper lanes should overlap some I/O"
-    );
 
-    for run in 1..RUNS {
-        let got = run_once();
-        for (qi, (g, r)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                g,
-                r,
-                "run {run} query {qi} (depth {}) diverged on a mixed-depth {threads}-worker pool",
-                DEPTHS[qi % DEPTHS.len()]
-            );
+        for run in 1..RUNS {
+            let got = run_once();
+            for (qi, (g, r)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    g,
+                    r,
+                    "run {run} query {qi} (depth {}) diverged on a mixed-depth pool at {p:?}",
+                    DEPTHS[qi % DEPTHS.len()]
+                );
+            }
         }
     }
 }
