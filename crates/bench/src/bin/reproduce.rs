@@ -7,10 +7,7 @@
 //! ```
 
 use snowprune_bench::snapshot::Snapshot;
-use snowprune_bench::{
-    experiments as e, joinagg_exp as j, pool_exp as p, prefetch_exp as pf, production_exp as pr,
-    tpch_exp as t, vector_exp as v,
-};
+use snowprune_bench::{experiments as e, prefetch_exp as pf, production_exp as pr, tpch_exp as t};
 use snowprune_workload::ProductionScaleConfig;
 
 /// Persist a tracked snapshot next to the report (`BENCH_<name>.json`,
@@ -95,35 +92,11 @@ fn main() {
                 s + &emit(snap)
             }),
             "ablations" => Some(t::ablations(seed)),
-            "pool" => Some({
-                let (s, snap) = if smoke {
-                    p::ext_pool_burst_snap(seed, 8, 2, 60, 8)
-                } else {
-                    p::ext_pool_burst_snap(seed, 16, 4, 400, 60)
-                };
-                s + &emit(snap)
-            }),
             "prefetch" => Some({
                 let (s, snap) = if smoke {
                     pf::ext_prefetch_snap(seed, 4, 50, 10)
                 } else {
                     pf::ext_prefetch_snap(seed, 12, 400, 60)
-                };
-                s + &emit(snap)
-            }),
-            "vectorized" => Some({
-                let (s, snap) = if smoke {
-                    v::ext_vectorized_sized(seed, 10_000, 400, 2)
-                } else {
-                    v::ext_vectorized(seed)
-                };
-                s + &emit(snap)
-            }),
-            "joinagg" => Some({
-                let (s, snap) = if smoke {
-                    j::ext_joinagg_sized(seed, 10_000, 400, 2)
-                } else {
-                    j::ext_joinagg(seed)
                 };
                 s + &emit(snap)
             }),
@@ -174,10 +147,7 @@ fn main() {
         "fig13",
         "cache",
         "ablations",
-        "pool",
         "prefetch",
-        "vectorized",
-        "joinagg",
         "production",
     ];
     if which == "all" {

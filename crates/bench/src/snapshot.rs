@@ -1,6 +1,7 @@
 //! Tracked benchmark snapshots: a tiny, dependency-free JSON emitter that
 //! the `reproduce` binary uses to persist experiment numbers as
-//! `BENCH_<name>.json` files, forming a cross-PR performance trajectory.
+//! `BENCH_<name>.json` files: the deterministic record (virtual clocks,
+//! partition counts) each change is diffed against.
 //!
 //! The vendored `serde` shim is a no-op, so the JSON is written by hand.
 //! The schema is deliberately small and documented in
@@ -9,7 +10,7 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "name": "vectorized",
+//!   "name": "prefetch",
 //!   "context": { "key": "value", ... },
 //!   "metrics": [ { "name": "...", "value": 1.23, "unit": "ms" }, ... ]
 //! }
@@ -24,7 +25,7 @@ use std::path::PathBuf;
 /// One measured quantity within a snapshot.
 #[derive(Clone, Debug)]
 pub struct Metric {
-    /// Metric name, e.g. `cpu_bound_speedup`.
+    /// Metric name, e.g. `io_wall_ms_depth_1`.
     pub name: String,
     /// Measured value.
     pub value: f64,

@@ -7,51 +7,23 @@
 //! documentation. An *unset* variable returns `None` — absence is the
 //! documented "use the default" signal.
 //!
-//! The knobs are deployment settings of the benchmark harnesses only; the
-//! engine is configured in code through `ExecConfig`. The `criterion`
-//! compat shim keeps its own direct reads of
-//! `SNOWPRUNE_BENCH_SAMPLES`/`SNOWPRUNE_BENCH_WARMUP_MS` (it mirrors an
-//! external crate and must stay dependency-free); those names are still
-//! registered here so the README coverage check applies to them.
-
-/// How a knob's value is parsed, for documentation and error messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KnobKind {
-    /// A `usize` clamped to `>= 1` (sample counts, durations).
-    UsizeMin1,
-    /// A filesystem path, taken verbatim.
-    Path,
-}
+//! The one knob is a deployment setting of the `reproduce` harness; the
+//! engine is configured in code through `ExecConfig`.
 
 /// One registered environment knob.
 #[derive(Clone, Copy, Debug)]
 pub struct KnobDef {
     /// The environment variable name (`SNOWPRUNE_*`).
     pub name: &'static str,
-    /// How the value parses.
-    pub kind: KnobKind,
     /// One-line summary of what the knob controls.
     pub summary: &'static str,
 }
 
 /// Every `SNOWPRUNE_*` environment knob the workspace reads.
-pub const REGISTRY: &[KnobDef] = &[
-    KnobDef {
-        name: "SNOWPRUNE_BENCH_DIR",
-        kind: KnobKind::Path,
-        summary: "directory benchmark snapshots are written to",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_BENCH_SAMPLES",
-        kind: KnobKind::UsizeMin1,
-        summary: "timed samples per benchmark (criterion shim)",
-    },
-    KnobDef {
-        name: "SNOWPRUNE_BENCH_WARMUP_MS",
-        kind: KnobKind::UsizeMin1,
-        summary: "warm-up budget per benchmark in ms (criterion shim)",
-    },
-];
+pub const REGISTRY: &[KnobDef] = &[KnobDef {
+    name: "SNOWPRUNE_BENCH_DIR",
+    summary: "directory benchmark snapshots are written to",
+}];
 
 /// Look up a knob's registry entry by name.
 pub fn lookup(name: &str) -> Option<&'static KnobDef> {

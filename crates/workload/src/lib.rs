@@ -15,7 +15,7 @@ pub use diffgen::emit_sql;
 pub use kdist::{cdf_at, sample_k};
 pub use production::{
     generate, io_bound_burst, occurrence_histogram, production_scale, repetition_shape_ids,
-    tenant_burst, topk_tighten_burst, GeneratedQuery, ProductionScaleConfig,
-    ProductionScaleWorkload, ProductionWorkload, QueryKind, WorkloadConfig,
+    topk_tighten_burst, GeneratedQuery, ProductionScaleConfig, ProductionScaleWorkload,
+    ProductionWorkload, QueryKind, WorkloadConfig,
 };
 pub use tpch::{all_tpch_queries, date, generate_tpch, tpch_query, TpchConfig};

@@ -367,33 +367,6 @@ fn gen_join(rng: &mut StdRng, max_ts: i64) -> GeneratedQuery {
     }
 }
 
-/// A burst of `cfg.queries` concurrent tenant queries hitting one virtual
-/// warehouse at once — the scenario the shared morsel pool exists for.
-/// Unlike [`generate`], which models a long query *stream*, this draws a
-/// small batch with a fixed round-robin over the concurrency-relevant
-/// shapes (scans, joins, top-k, filtered selects, LIMITs) so every burst
-/// exercises cross-query interleaving of all pruning hooks regardless of
-/// batch size.
-pub fn tenant_burst(cfg: &WorkloadConfig, seed: u64) -> ProductionWorkload {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let catalog = Catalog::new();
-    build_tables(&catalog, cfg, &mut rng);
-    let max_ts = (cfg.rows_per_partition * cfg.fact_partitions) as i64 * 10;
-    let mut queries = Vec::with_capacity(cfg.queries);
-    for i in 0..cfg.queries {
-        let q = match i % 5 {
-            0 => gen_filtered_select(&mut rng, max_ts),
-            1 => gen_join(&mut rng, max_ts),
-            2 => gen_topk(&mut rng, max_ts),
-            3 => gen_full_scan(&mut rng),
-            _ => gen_limit(&mut rng, max_ts, true),
-        };
-        let sql = to_sql(&q.plan);
-        queries.push(GeneratedQuery { sql, ..q });
-    }
-    ProductionWorkload { catalog, queries }
-}
-
 /// I/O-bound burst for the prefetch experiment: wide filtered range scans
 /// over the clustered fact table, no LIMIT/top-k shapes. The partition set
 /// is fixed at scan-compile time, so sweeping the prefetch depth changes
@@ -696,34 +669,6 @@ mod tests {
             (topk_total - 0.0555).abs() < 0.015,
             "topk share {topk_total}"
         );
-    }
-
-    #[test]
-    fn tenant_burst_covers_concurrency_shapes() {
-        let wl = tenant_burst(
-            &WorkloadConfig {
-                queries: 16,
-                rows_per_partition: 60,
-                fact_partitions: 6,
-            },
-            21,
-        );
-        assert_eq!(wl.queries.len(), 16);
-        for q in &wl.queries {
-            q.plan.check().unwrap();
-        }
-        for kind in [
-            QueryKind::FilteredSelect,
-            QueryKind::Join,
-            QueryKind::TopK,
-            QueryKind::FullScan,
-            QueryKind::LimitWithPredicate,
-        ] {
-            assert!(
-                wl.queries.iter().any(|q| q.kind == kind),
-                "burst missing {kind:?}"
-            );
-        }
     }
 
     #[test]

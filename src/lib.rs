@@ -41,16 +41,15 @@
 //! assert!(out.report.pruning.filter_ratio() > 0.97);
 //! ```
 //!
-//! See `DESIGN.md` for the architecture and the per-experiment index, and
-//! the `snowprune-bench` crate for the harness regenerating every table
-//! and figure of the paper.
+//! See `docs/ARCHITECTURE.md` for the crate graph and the paper-section →
+//! code map, and the `snowprune-bench` crate for the harness regenerating
+//! every table and figure of the paper.
 
 #![forbid(unsafe_code)]
 pub use snowprune_cache as cache;
 pub use snowprune_core as core;
 pub use snowprune_exec as exec;
 pub use snowprune_expr as expr;
-pub use snowprune_ir as ir;
 pub use snowprune_plan as plan;
 pub use snowprune_sql as sql;
 pub use snowprune_storage as storage;

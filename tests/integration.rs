@@ -180,44 +180,6 @@ fn tpch_q6_pruning_beats_baseline_io() {
 }
 
 #[test]
-fn ir_baselines_agree_with_partition_topk_on_same_data() {
-    // Build a column, expose it both as posting lists and as a table;
-    // top-k via BMW and via partition pruning must find the same values.
-    let n = 20_000u32;
-    let score = |d: u32| ((d as u64 * 2_654_435_761) % 100_000) as i64;
-    let postings: Vec<snowprune::ir::Posting> = (0..n)
-        .map(|d| snowprune::ir::Posting {
-            doc: d,
-            score: score(d) as f64,
-        })
-        .collect();
-    let lists = vec![snowprune::ir::PostingList::new(postings, 256)];
-    let (bmw, _) = snowprune::ir::block_max_wand(&lists, 10);
-    let schema = Schema::new(vec![Field::new("v", ScalarType::Int)]);
-    let mut b = TableBuilder::new("t", schema.clone()).target_rows_per_partition(256);
-    for d in 0..n {
-        b.push_row(vec![Value::Int(score(d))]);
-    }
-    let catalog = Catalog::new();
-    catalog.register(b.build());
-    let plan = PlanBuilder::scan("t", schema)
-        .order_by("v", true)
-        .limit(10)
-        .build();
-    let out = Executor::new(catalog, ExecConfig::default())
-        .run(&plan)
-        .unwrap();
-    let engine_top: Vec<f64> = out
-        .rows
-        .rows
-        .iter()
-        .map(|r| r[0].as_i64().unwrap() as f64)
-        .collect();
-    let bmw_top: Vec<f64> = bmw.iter().map(|d| d.score).collect();
-    assert_eq!(engine_top, bmw_top);
-}
-
-#[test]
 fn lake_table_scan_matches_regular_table() {
     let schema = Schema::new(vec![Field::new("x", ScalarType::Int)]);
     let rows: Vec<Vec<Value>> = (0..5_000i64).map(|i| vec![Value::Int(i)]).collect();
