@@ -4,15 +4,19 @@
 //!
 //! The predicate's boolean structure becomes a tree (Figure 3): predicates
 //! are the leaves, `∧`/`∨` the inner nodes. Per node, the pruner tracks
-//! pruning ratio and evaluation time; children of a node may be freely
+//! pruning ratio and evaluation cost; children of a node may be freely
 //! reordered, and leaves *below an `∧`* may be disabled ("cutoff") when
 //! they are slow or ineffective. Disabling a leaf below an `∨` would render
 //! the whole disjunction useless, so it is never allowed (§3.2).
+//!
+//! Evaluation cost is *modelled*, not measured: each leaf charges a fixed
+//! [`LeafPruner::cost_ns`] per evaluation. Reordering, cutoff and the
+//! compile-time budget never read the clock, so a scan set is a pure
+//! function of (predicate, metadata, config).
 
 #![allow(clippy::field_reassign_with_default)] // config tweak idiom
 
 use std::borrow::Borrow;
-use std::time::Instant;
 
 use snowprune_expr::{prune_eval, Expr};
 use snowprune_storage::PartitionMeta;
@@ -36,11 +40,16 @@ pub struct FilterPruneConfig {
     pub reorder: bool,
     /// Enable pruning cutoff.
     pub cutoff: bool,
-    /// Compile-time budget in nanoseconds; pruning of the remaining
-    /// partitions is deferred to the (parallel) execution phase when the
-    /// budget runs out. `u64::MAX` = unbounded.
+    /// Compile-time budget in modelled nanoseconds: once one `prune` call
+    /// has charged this much leaf cost, pruning of the remaining partitions
+    /// is deferred to the (parallel) execution phase. `u64::MAX` =
+    /// unbounded; 0 defers every partition.
     pub compile_time_budget_ns: u64,
 }
+
+/// Modelled cost of one leaf evaluation against a partition's zone maps,
+/// in nanoseconds (the order of one `prune_eval` of a range leaf).
+const DEFAULT_LEAF_COST_NS: u64 = 100;
 
 impl Default for FilterPruneConfig {
     fn default() -> Self {
@@ -56,14 +65,14 @@ impl Default for FilterPruneConfig {
 }
 
 /// Accumulated statistics for one pruning-tree node.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Number of zone-map evaluations of this node.
     pub evals: u64,
     /// Evaluations whose verdict allowed pruning (`!may_true`).
     pub pruned: u64,
-    /// Total evaluation time, nanoseconds.
-    pub nanos: u64,
+    /// Total modelled evaluation cost, nanoseconds.
+    pub cost_ns: u64,
 }
 
 impl NodeStats {
@@ -81,7 +90,7 @@ impl NodeStats {
         if self.evals == 0 {
             0.0
         } else {
-            self.nanos as f64 / self.evals as f64
+            self.cost_ns as f64 / self.evals as f64
         }
     }
 }
@@ -108,9 +117,9 @@ pub struct LeafPruner {
     pub enabled: bool,
     /// Whether every ancestor is an AND node (cutoff precondition).
     pub cutoff_allowed: bool,
-    /// Extra synthetic cost per evaluation (tests/benches model slow
-    /// pruners, e.g. heavy UDF-style predicates, deterministically).
-    pub synthetic_cost_ns: u64,
+    /// Modelled cost charged per evaluation, nanoseconds (100 unless
+    /// overridden by [`FilterPruner::set_leaf_cost`]).
+    pub cost_ns: u64,
 }
 
 impl PruneNode {
@@ -124,27 +133,23 @@ impl PruneNode {
                 stats: NodeStats::default(),
                 enabled: true,
                 cutoff_allowed: !under_or,
-                synthetic_cost_ns: 0,
+                cost_ns: DEFAULT_LEAF_COST_NS,
             }),
         }
     }
 
-    /// Evaluate this node against one partition's zone maps.
-    fn evaluate(&mut self, meta: &[ZoneMap]) -> Verdict {
+    /// Evaluate this node against one partition's zone maps, adding the
+    /// modelled cost of every leaf evaluated to `charged`.
+    fn evaluate(&mut self, meta: &[ZoneMap], charged: &mut u64) -> Verdict {
         match self {
             PruneNode::Leaf(leaf) => {
                 if !leaf.enabled {
                     return Verdict::TOP;
                 }
-                let start = Instant::now();
                 let v = prune_eval(&leaf.expr, meta);
-                let mut elapsed = start.elapsed().as_nanos() as u64;
-                elapsed += leaf.synthetic_cost_ns;
-                if leaf.synthetic_cost_ns > 0 {
-                    busy_wait_ns(leaf.synthetic_cost_ns);
-                }
                 leaf.stats.evals += 1;
-                leaf.stats.nanos += elapsed;
+                leaf.stats.cost_ns += leaf.cost_ns;
+                *charged += leaf.cost_ns;
                 if v.prunable() {
                     leaf.stats.pruned += 1;
                 }
@@ -153,7 +158,7 @@ impl PruneNode {
             PruneNode::And(children) => {
                 let mut acc = Verdict::ALWAYS_TRUE;
                 for c in children.iter_mut() {
-                    acc = acc.and(c.evaluate(meta));
+                    acc = acc.and(c.evaluate(meta, charged));
                     if !acc.may_true {
                         // Short-circuit: the partition is already prunable
                         // and `and` can only keep may_true false.
@@ -165,7 +170,7 @@ impl PruneNode {
             PruneNode::Or(children) => {
                 let mut acc = Verdict::ALWAYS_FALSE;
                 for c in children.iter_mut() {
-                    acc = acc.or(c.evaluate(meta));
+                    acc = acc.or(c.evaluate(meta, charged));
                     if acc.all_true {
                         break;
                     }
@@ -215,7 +220,7 @@ impl PruneNode {
                     let s = c.aggregate_stats();
                     acc.evals = acc.evals.max(s.evals);
                     acc.pruned += s.pruned;
-                    acc.nanos += s.nanos;
+                    acc.cost_ns += s.cost_ns;
                 }
                 acc
             }
@@ -223,7 +228,7 @@ impl PruneNode {
     }
 
     /// Apply the cutoff rule to eligible leaves.
-    fn apply_cutoff(&mut self, cfg: &FilterPruneConfig, disabled: &mut usize) {
+    fn apply_cutoff(&mut self, cfg: &FilterPruneConfig) {
         match self {
             PruneNode::Leaf(leaf) => {
                 if !leaf.enabled || !leaf.cutoff_allowed || leaf.stats.evals < cfg.cutoff_min_evals
@@ -235,26 +240,16 @@ impl PruneNode {
                 let saving = leaf.stats.prune_ratio() * cfg.scan_cost_ns_per_partition as f64;
                 if leaf.stats.cost_per_eval_ns() > saving {
                     leaf.enabled = false;
-                    *disabled += 1;
                 }
             }
             PruneNode::And(cs) => {
                 for c in cs {
-                    c.apply_cutoff(cfg, disabled);
+                    c.apply_cutoff(cfg);
                 }
             }
-            // §3.2: "only filters below an ∧-expression may be removed" —
-            // leaves under OR were marked cutoff_allowed=false at build
-            // time, but we also skip descending for clarity.
-            PruneNode::Or(cs) => {
-                for c in cs {
-                    if let PruneNode::And(_) = c {
-                        // Nested ANDs under OR: their leaves have
-                        // cutoff_allowed=false (an OR ancestor exists).
-                        c.apply_cutoff(cfg, disabled);
-                    }
-                }
-            }
+            // §3.2: "only filters below an ∧-expression may be removed";
+            // every leaf with an OR ancestor has `cutoff_allowed = false`.
+            PruneNode::Or(_) => {}
         }
     }
 
@@ -298,15 +293,8 @@ fn rank_or(n: &PruneNode) -> f64 {
     s.cost_per_eval_ns() / pass_ratio.max(1e-6)
 }
 
-fn busy_wait_ns(ns: u64) {
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
-}
-
 /// Result of compile-time filter pruning for one table scan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FilterPruneResult {
     /// Surviving partitions, annotated with match classes.
     pub scan_set: ScanSet,
@@ -317,7 +305,8 @@ pub struct FilterPruneResult {
     /// Partitions classified fully-matching (§4.1).
     pub fully_matching: usize,
     /// Partitions whose pruning was deferred past the compile-time budget;
-    /// they appear in the scan set and must be re-checked at runtime.
+    /// they are the last `deferred` scan-set entries and must be
+    /// re-checked at runtime.
     pub deferred: usize,
     /// Leaves disabled by cutoff.
     pub disabled_leaves: usize,
@@ -336,6 +325,8 @@ pub struct FilterPruner {
     tree: PruneNode,
     cfg: FilterPruneConfig,
     evaluated: u64,
+    /// Modelled leaf cost charged over the pruner's lifetime, nanoseconds.
+    charged_ns: u64,
 }
 
 impl FilterPruner {
@@ -345,16 +336,17 @@ impl FilterPruner {
             tree: PruneNode::build(predicate, false),
             cfg,
             evaluated: 0,
+            charged_ns: 0,
         }
     }
 
-    /// Inject a synthetic per-evaluation cost into the `idx`-th leaf
-    /// (pre-order), for deterministic reorder/cutoff tests and benches.
+    /// Override the modelled per-evaluation cost of the `idx`-th leaf
+    /// (pre-order), e.g. to model a slow UDF-style pruner.
     pub fn set_leaf_cost(&mut self, idx: usize, cost_ns: u64) {
         let mut i = 0;
         self.tree.for_each_leaf_mut(&mut |l| {
             if i == idx {
-                l.synthetic_cost_ns = cost_ns;
+                l.cost_ns = cost_ns;
             }
             i += 1;
         });
@@ -363,14 +355,13 @@ impl FilterPruner {
     /// Evaluate one partition (runtime pruning entry point).
     pub fn evaluate(&mut self, zone_maps: &[ZoneMap]) -> Verdict {
         self.evaluated += 1;
-        let v = self.tree.evaluate(zone_maps);
+        let v = self.tree.evaluate(zone_maps, &mut self.charged_ns);
         if self.evaluated.is_multiple_of(self.cfg.adapt_interval) {
             if self.cfg.reorder {
                 self.tree.reorder();
             }
             if self.cfg.cutoff {
-                let mut disabled = 0;
-                self.tree.apply_cutoff(&self.cfg, &mut disabled);
+                self.tree.apply_cutoff(&self.cfg);
             }
         }
         v
@@ -383,19 +374,21 @@ impl FilterPruner {
 
     /// Compile-time pruning over a whole table's metadata, respecting the
     /// compile-time budget (§3.2: expensive pruning is deferred to the
-    /// highly parallel execution phase). Takes owned or borrowed metadata
-    /// (`&[PartitionMeta]`, or the `Vec<&PartitionMeta>` a table snapshot
-    /// hands out).
+    /// highly parallel execution phase). Once this call has charged
+    /// `compile_time_budget_ns` of modelled leaf cost, every remaining
+    /// partition is deferred, so the deferred entries are a suffix of the
+    /// scan set. Takes owned or borrowed metadata (`&[PartitionMeta]`, or
+    /// the `Vec<&PartitionMeta>` a table snapshot hands out).
     pub fn prune<M: Borrow<PartitionMeta>>(&mut self, metas: &[M]) -> FilterPruneResult {
         let before = metas.len();
-        let start = Instant::now();
+        let charged_before = self.charged_ns;
         let mut entries = Vec::with_capacity(metas.len());
         let mut pruned = 0usize;
         let mut fully = 0usize;
         let mut deferred = 0usize;
         for meta in metas {
             let meta: &PartitionMeta = meta.borrow();
-            if (start.elapsed().as_nanos() as u64) > self.cfg.compile_time_budget_ns {
+            if self.charged_ns - charged_before >= self.cfg.compile_time_budget_ns {
                 deferred += 1;
                 entries.push(ScanEntry {
                     id: meta.id,
@@ -601,6 +594,105 @@ mod tests {
             "deferred partitions stay in the scan set"
         );
         assert_eq!(res.pruned, 0);
+    }
+
+    #[test]
+    fn compile_time_budget_is_a_work_budget() {
+        let t = table();
+        let pred = bound(col("x").lt(lit(500i64)), &t);
+        let mut cfg = FilterPruneConfig::default();
+        cfg.compile_time_budget_ns = 20 * 250;
+        let mut pruner = FilterPruner::new(&pred, cfg);
+        pruner.set_leaf_cost(0, 250);
+        let metas: Vec<_> = t.metadata().into_iter().cloned().collect();
+        let res = pruner.prune(&metas);
+        // The first 20 partitions are classified (5 kept, 15 dropped); the
+        // budget then defers exactly the last 80, as a suffix of the scan
+        // set, which is what `CompiledScan::compile`'s `.rev().take(deferred)`
+        // relies on.
+        assert_eq!((res.pruned, res.deferred, res.scan_set.len()), (15, 80, 85));
+        let tail = &res.scan_set.entries[res.scan_set.len() - res.deferred..];
+        assert_eq!(
+            tail.iter().map(|e| e.id).collect::<Vec<_>>(),
+            (20..100).collect::<Vec<_>>()
+        );
+        assert!(tail
+            .iter()
+            .all(|e| e.class == MatchClass::PartiallyMatching));
+    }
+
+    #[test]
+    fn prune_is_a_pure_function_of_its_inputs() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let t = table();
+        let pred = bound(
+            col("y")
+                .ge(lit(0i64))
+                .and(col("x").lt(lit(5_000i64)))
+                .and(col("x").ge(lit(1_000i64))),
+            &t,
+        );
+        let metas: Vec<_> = t.metadata().into_iter().cloned().collect();
+        let run = || {
+            let mut cfg = FilterPruneConfig::default();
+            cfg.adapt_interval = 8;
+            cfg.cutoff_min_evals = 8;
+            let mut pruner = FilterPruner::new(&pred, cfg);
+            let res = pruner.prune(&metas);
+            (res, pruner.leaf_order(), pruner.leaf_stats())
+        };
+        let quiet = run();
+        // The second run competes with one spinning thread per core: a
+        // pruner that read the clock would see different costs.
+        let stop = AtomicBool::new(false);
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let loaded = std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                });
+            }
+            let out = run();
+            stop.store(true, Ordering::Relaxed);
+            out
+        });
+        assert_eq!(quiet.0, loaded.0);
+        assert_eq!(quiet.1, loaded.1);
+        assert_eq!(quiet.2, loaded.2);
+    }
+
+    #[test]
+    fn clustered_slice_cutoff_loads_the_table_tail() {
+        // Baseline reading 1: 800 partitions of 8 rows, ts = 10·row,
+        // clustered on ts; the slice covers partitions 200–219.
+        let schema = Schema::new(vec![Field::new("ts", ScalarType::Int)]);
+        let mut b = TableBuilder::new("events", schema)
+            .target_rows_per_partition(8)
+            .layout(Layout::ClusterBy(vec!["ts".into()]));
+        for row in 0..6_400i64 {
+            b.push_row(vec![Value::Int(10 * row)]);
+        }
+        let t = b.build();
+        let pred = bound(col("ts").between(lit(16_000i64), lit(17_590i64)), &t);
+        let metas: Vec<_> = t.metadata().into_iter().cloned().collect();
+        assert_eq!(metas.len(), 800);
+        let prune = |cutoff: bool| {
+            let mut cfg = FilterPruneConfig::default();
+            cfg.cutoff = cutoff;
+            FilterPruner::new(&pred, cfg).prune(&metas)
+        };
+        // With cutoff on, `ts <= hi` prunes nothing across the clustered
+        // prefix, is disabled, and everything from the slice to the end of
+        // the table is scanned. ROADMAP item 1 slice 3 (judging leaves on
+        // windowed stats) must flip this assertion to the 20-partition set.
+        let on = prune(true);
+        assert_eq!(on.disabled_leaves, 1);
+        assert_eq!(on.scan_set.ids(), (200..800).collect::<Vec<_>>());
+        let off = prune(false);
+        assert_eq!(off.disabled_leaves, 0);
+        assert_eq!(off.scan_set.ids(), (200..220).collect::<Vec<_>>());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use snowprune_analyze::CacheShape;
@@ -321,7 +321,9 @@ impl Executor {
             snowprune_analyze::explain_cacheability(plan, self.cfg.enable_topk_pruning)
         };
         let io_before = self.io.snapshot();
-        let start = Instant::now();
+        // CLOCK-OK: feeds `QueryOutput::wall`, which is reported and never
+        // decides anything.
+        let start = std::time::Instant::now();
         let mut st = RunState {
             lane: self.pool.as_ref().map_or(0, |p| p.next_lane()),
             ..RunState::default()

@@ -6,13 +6,10 @@
 //! missing, in which case it can be *backfilled* by scanning the level
 //! below (or the data itself).
 
-use std::sync::Arc;
-
 use snowprune_types::{Verdict, ZoneMap, DEFAULT_STRING_PREFIX};
 
 use crate::column::ColumnChunk;
 use crate::io::{IoCostModel, IoStats};
-use crate::partition::MicroPartition;
 use crate::schema::Schema;
 use crate::table::Table;
 
@@ -317,21 +314,6 @@ fn merge_group_maps(groups: &[RowGroup]) -> Option<Vec<ZoneMap>> {
         });
     }
     acc
-}
-
-/// Convenience: wrap a flattened lake table in an `Arc` for engine use.
-pub fn lake_to_shared_table(lake: &LakeTable) -> Arc<Table> {
-    Arc::new(lake.to_table())
-}
-
-/// Re-export used by tests.
-pub use crate::partition::PartitionId as LakePartitionId;
-
-#[allow(unused)]
-fn _assert_traits(p: MicroPartition) {
-    // MicroPartition stays Send+Sync-compatible for the parallel engine.
-    fn takes_send<T: Send>(_: T) {}
-    takes_send(p);
 }
 
 #[cfg(test)]

@@ -18,6 +18,9 @@
 //!    `crates/core` or `crates/exec` non-test code needs a
 //!    `// LINEAR-OK: <bound>` waiver; partition ids resolve through
 //!    `Table`'s index or a map built once per call.
+//! 6. **No clock in engine decisions** — `Instant` and `SystemTime` are
+//!    denied in non-test code under `crates/`; a clock read whose value is
+//!    only reported carries a `// CLOCK-OK: <reason>` waiver.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -46,6 +49,7 @@ fn lint() -> ExitCode {
     lint_std_sync(&root, &mut violations);
     lint_crate_attributes(&root, &mut violations);
     lint_no_linear_id_search(&root, &mut violations);
+    lint_no_clock(&root, &mut violations);
     if violations.is_empty() {
         println!("xtask lint: ok");
         ExitCode::SUCCESS
@@ -482,6 +486,53 @@ fn compares_an_id(code: &str) -> bool {
     })
 }
 
+const CLOCK_TOKENS: &[&str] = &["Instant", "SystemTime"];
+
+/// Lint 6: no clock reads in non-test code under `crates/`. Pruning,
+/// scheduling and caching decisions must be a function of their inputs;
+/// a value read from the clock makes them a function of host timing.
+fn lint_no_clock(root: &Path, violations: &mut Vec<String>) {
+    for file in rust_files(&root.join("crates")) {
+        clock_reads(&rel(root, &file), &read(&file), violations);
+    }
+}
+
+/// Lint 6 for one file `src` at repo-relative path `p`.
+fn clock_reads(p: &str, src: &str, violations: &mut Vec<String>) {
+    if p.contains("/tests/") {
+        return;
+    }
+    let mask = test_region_mask(src);
+    let lines: Vec<&str> = src.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if mask.get(i).copied().unwrap_or(false) {
+            continue;
+        }
+        let code = strip_comment(line);
+        let hit = CLOCK_TOKENS.iter().find(|t| has_ident(code, t));
+        if let Some(tok) = hit {
+            if !waived(&lines, i, "CLOCK-OK:") {
+                violations.push(format!(
+                    "{}:{}: `{}` outside test code; engine decisions must not read the clock \
+                     (add `// CLOCK-OK: <reason>` if the value is only reported)",
+                    p,
+                    i + 1,
+                    tok
+                ));
+            }
+        }
+    }
+}
+
+/// Does `name` occur in `code` as a whole identifier?
+fn has_ident(code: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(name).any(|(at, _)| {
+        !code[..at].chars().next_back().is_some_and(is_ident)
+            && !code[at + name.len()..].chars().next().is_some_and(is_ident)
+    })
+}
+
 /// Every `.rs` file in the workspace's own source trees (crates, the root
 /// facade, examples, integration tests, xtask).
 fn workspace_sources(root: &Path) -> Vec<PathBuf> {
@@ -576,6 +627,43 @@ mod tests {
     }
 
     #[test]
+    fn clock_rule_reports_a_planted_instant_in_core() {
+        let planted = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
+        let mut v = Vec::new();
+        clock_reads("crates/core/src/filter.rs", planted, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("crates/core/src/filter.rs:2:"), "{v:?}");
+        v.clear();
+        clock_reads(
+            "crates/core/src/lib.rs",
+            "use std::time::SystemTime;\n",
+            &mut v,
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        v.clear();
+        // Waived, test-only, in an integration test, or a mere prefix of
+        // another identifier: all pass.
+        for (p, ok) in [
+            (
+                "crates/exec/src/exec.rs",
+                "// CLOCK-OK: reported only\nlet t = Instant::now();\n",
+            ),
+            (
+                "crates/core/src/filter.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t() { Instant::now(); }\n}\n",
+            ),
+            ("crates/bench/tests/cli.rs", "let t = Instant::now();\n"),
+            (
+                "crates/core/src/a.rs",
+                "let x = Instantiated::new(); // Instant\n",
+            ),
+        ] {
+            clock_reads(p, ok, &mut v);
+            assert!(v.is_empty(), "{p}: {v:?}");
+        }
+    }
+
+    #[test]
     fn full_lint_run_on_this_repo_is_clean() {
         let root = repo_root();
         if !root.join("Cargo.toml").is_file() {
@@ -588,6 +676,7 @@ mod tests {
         lint_std_sync(&root, &mut violations);
         lint_crate_attributes(&root, &mut violations);
         lint_no_linear_id_search(&root, &mut violations);
+        lint_no_clock(&root, &mut violations);
         let mut msg = String::new();
         for v in &violations {
             let _ = writeln!(msg, "{v}");
