@@ -13,6 +13,17 @@
 //! [`LeafPruner::cost_ns`] per evaluation. Reordering, cutoff and the
 //! compile-time budget never read the clock, so a scan set is a pure
 //! function of (predicate, metadata, config).
+//!
+//! The cutoff rule bounds regret. A leaf is cut off once its modelled cost
+//! so far exceeds what it has saved plus one partition scan:
+//! `cost_ns > (pruned + 1) × scan_cost_ns_per_partition`. The two mistakes
+//! are asymmetric: a leaf wrongly kept costs nanoseconds per partition, a
+//! leaf wrongly disabled costs a partition load for every partition it
+//! would have pruned. So a cheap leaf that has pruned nothing yet (the
+//! upper bound of a clustered range, before the range starts) is kept far
+//! past the point where its ratio alone would condemn it, while a slow
+//! pruner set with [`FilterPruner::set_leaf_cost`] is still cut off at the
+//! first check.
 
 #![allow(clippy::field_reassign_with_default)] // config tweak idiom
 
@@ -32,9 +43,10 @@ pub struct FilterPruneConfig {
     /// Leaves need this many evaluations before cutoff decisions.
     pub cutoff_min_evals: u64,
     /// Modelled cost of scanning one partition at execution time, in
-    /// nanoseconds. The cutoff rule disables a pruner whose per-partition
-    /// evaluation cost exceeds `pruning_ratio × scan_cost` (§3.2's
-    /// continue-vs-stop comparison).
+    /// nanoseconds: the value of one pruned partition. The cutoff rule
+    /// (§3.2's continue-vs-stop comparison) disables a leaf once its total
+    /// modelled cost exceeds `(pruned + 1) × scan_cost`, i.e. once it has
+    /// cost more than it saved plus one partition scan.
     pub scan_cost_ns_per_partition: u64,
     /// Enable adaptive reordering.
     pub reorder: bool,
@@ -235,10 +247,11 @@ impl PruneNode {
                 {
                     return;
                 }
-                // Continue-pruning cost per partition vs expected saving:
-                // disable when eval cost exceeds ratio × scan cost.
-                let saving = leaf.stats.prune_ratio() * cfg.scan_cost_ns_per_partition as f64;
-                if leaf.stats.cost_per_eval_ns() > saving {
+                // Regret bound: disable once the leaf has cost more than
+                // the scans it saved plus one more.
+                let saved_plus_one =
+                    (leaf.stats.pruned + 1).saturating_mul(cfg.scan_cost_ns_per_partition);
+                if leaf.stats.cost_ns > saved_plus_one {
                     leaf.enabled = false;
                 }
             }
@@ -664,7 +677,35 @@ mod tests {
     }
 
     #[test]
-    fn clustered_slice_cutoff_loads_the_table_tail() {
+    fn cutoff_fires_exactly_when_cost_exceeds_savings_plus_one_scan() {
+        let t = table();
+        // x >= 500 prunes partitions 0–4, then nothing. At 150 ns per
+        // evaluation and a 1 400 ns scan, its cost at the k-th adapt
+        // boundary is 8·k·150 = 1 200·k ns against a bound of
+        // (5 + 1) × 1 400 = 8 400 ns: equal at k = 7 (kept), exceeded at
+        // k = 8 (cut off after 64 evaluations).
+        let pred = bound(col("x").ge(lit(500i64)), &t);
+        let mut cfg = FilterPruneConfig::default();
+        cfg.adapt_interval = 8;
+        cfg.cutoff_min_evals = 8;
+        cfg.scan_cost_ns_per_partition = 1_400;
+        let mut pruner = FilterPruner::new(&pred, cfg);
+        pruner.set_leaf_cost(0, 150);
+        let metas = t.metadata();
+        let cut_at = metas
+            .iter()
+            .position(|m| {
+                pruner.classify(m);
+                pruner.disabled_leaves() == 1
+            })
+            .map(|i| i + 1);
+        assert_eq!(cut_at, Some(64));
+        let stats = pruner.leaf_stats()[0];
+        assert_eq!((stats.evals, stats.pruned, stats.cost_ns), (64, 5, 9_600));
+    }
+
+    #[test]
+    fn clustered_slice_cutoff_keeps_only_the_slice() {
         // Baseline reading 1: 800 partitions of 8 rows, ts = 10·row,
         // clustered on ts; the slice covers partitions 200–219.
         let schema = Schema::new(vec![Field::new("ts", ScalarType::Int)]);
@@ -683,16 +724,20 @@ mod tests {
             cfg.cutoff = cutoff;
             FilterPruner::new(&pred, cfg).prune(&metas)
         };
-        // With cutoff on, `ts <= hi` prunes nothing across the clustered
-        // prefix, is disabled, and everything from the slice to the end of
-        // the table is scanned. ROADMAP item 1 slice 3 (judging leaves on
-        // windowed stats) must flip this assertion to the 20-partition set.
-        let on = prune(true);
-        assert_eq!(on.disabled_leaves, 1);
-        assert_eq!(on.scan_set.ids(), (200..800).collect::<Vec<_>>());
-        let off = prune(false);
-        assert_eq!(off.disabled_leaves, 0);
-        assert_eq!(off.scan_set.ids(), (200..220).collect::<Vec<_>>());
+        // Reorder moves `ts <= hi` to the front, where it prunes nothing
+        // across the clustered prefix; cutting it off would load everything
+        // from the slice to the end of the table. It stays, because 100 ns
+        // leaf evaluations cannot add up to one 2 ms partition scan within
+        // 800 partitions.
+        for cutoff in [true, false] {
+            let res = prune(cutoff);
+            assert_eq!(res.disabled_leaves, 0, "cutoff: {cutoff}");
+            assert_eq!(
+                res.scan_set.ids(),
+                (200..220).collect::<Vec<_>>(),
+                "cutoff: {cutoff}"
+            );
+        }
     }
 
     #[test]

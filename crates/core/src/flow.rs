@@ -76,6 +76,9 @@ pub struct QueryPruningReport {
     pub partitions_scanned: u64,
     /// Fully-matching partitions identified during filter pruning.
     pub fully_matching: u64,
+    /// Filter leaves disabled by the §3.2 cutoff, summed over the query's
+    /// compiled scans.
+    pub leaves_cut_off: u64,
     /// Whether filter pruning was *eligible* (not just effective).
     pub filter_eligible: bool,
     /// Whether LIMIT pruning was eligible.

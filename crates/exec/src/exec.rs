@@ -611,6 +611,7 @@ impl Executor {
         st.report.pruning.partitions_total += scan.partitions_total as u64;
         st.report.pruning.pruned_by_filter += scan.pruned_by_filter;
         st.report.pruning.fully_matching += scan.fully_matching;
+        st.report.pruning.leaves_cut_off += scan.leaves_cut_off;
         Ok(scan)
     }
 

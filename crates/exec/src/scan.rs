@@ -57,6 +57,8 @@ pub struct CompiledScan {
     pub pruned_by_filter: u64,
     /// Partitions whose every row matches the predicate (§4.1).
     pub fully_matching: u64,
+    /// Filter leaves the §3.2 cutoff disabled during compile-time pruning.
+    pub leaves_cut_off: u64,
     /// Partitions whose compile-time pruning was deferred (§3.2); they sit
     /// in the scan set and are re-checked by the runtime pruner.
     pub deferred_ids: HashSet<PartitionId>,
@@ -78,7 +80,8 @@ impl CompiledScan {
         let bound = predicate.map(|p| p.bind(&schema)).transpose()?;
         let metas = table.read_metadata(io, io_cost);
         let partitions_total = metas.len();
-        let (scan_set, pruned, fully, deferred_ids) = match (&bound, enable_filter_pruning) {
+        let (scan_set, pruned, fully, cut_off, deferred_ids) = match (&bound, enable_filter_pruning)
+        {
             (Some(pred), true) => {
                 let mut pruner = FilterPruner::new(pred, filter_cfg.clone());
                 let res = pruner.prune(&metas);
@@ -94,6 +97,7 @@ impl CompiledScan {
                     res.scan_set,
                     res.pruned as u64,
                     res.fully_matching as u64,
+                    res.disabled_leaves as u64,
                     deferred,
                 )
             }
@@ -114,6 +118,7 @@ impl CompiledScan {
                     } else {
                         0
                     },
+                    0,
                     HashSet::new(),
                 )
             }
@@ -127,6 +132,7 @@ impl CompiledScan {
             partitions_total,
             pruned_by_filter: pruned,
             fully_matching: fully,
+            leaves_cut_off: cut_off,
             deferred_ids,
         })
     }

@@ -134,6 +134,42 @@ fn complex_expression_filter_matches_baseline() {
 }
 
 #[test]
+fn report_counts_leaves_cut_off() {
+    // 800 partitions of 8 rows clustered on ts = 10·row; the slice covers
+    // partitions 200–219.
+    let catalog = Catalog::new();
+    let schema = Schema::new(vec![Field::new("ts", ScalarType::Int)]);
+    let mut events = TableBuilder::new("events", schema.clone())
+        .target_rows_per_partition(8)
+        .layout(Layout::ClusterBy(vec!["ts".into()]));
+    for row in 0..6_400i64 {
+        events.push_row(vec![Value::Int(10 * row)]);
+    }
+    catalog.register(events.build());
+    let plan = PlanBuilder::scan("events", schema)
+        .filter(col("ts").between(lit(16_000i64), lit(17_590i64)))
+        .build();
+    let run = |cfg: ExecConfig| Executor::new(catalog.clone(), cfg).run(&plan).unwrap();
+
+    // Default config: no leaf is cut off, and only the slice is loaded.
+    let default = run(ExecConfig::default());
+    assert_eq!(default.report.pruning.leaves_cut_off, 0);
+    assert_eq!(default.io.partitions_loaded, 20);
+    assert_eq!(default.rows.len(), 160);
+
+    // A 1 ns partition scan makes every leaf cost more than it saves.
+    let mut cheap_scans = ExecConfig::default();
+    cheap_scans.filter.scan_cost_ns_per_partition = 1;
+    let cut = run(cheap_scans);
+    assert!(
+        cut.report.pruning.leaves_cut_off >= 1,
+        "{:?}",
+        cut.report.pruning
+    );
+    assert_eq!(sorted_rows(&cut), sorted_rows(&default));
+}
+
+#[test]
 fn limit_without_predicate_prunes_to_one_partition() {
     let catalog = wildlife_catalog();
     let schema = catalog

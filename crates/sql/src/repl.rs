@@ -157,7 +157,7 @@ fn print_outcome(outcome: &SqlOutcome, out: &mut impl Write) -> std::io::Result<
             let p = &o.report.pruning;
             writeln!(
                 out,
-                "-- {} row(s); cache={:?}; partitions {}/{}; pruned filter={} limit={} join={} topk={}",
+                "-- {} row(s); cache={:?}; partitions {}/{}; pruned filter={} limit={} join={} topk={} cutoff={}",
                 o.rows.rows.len(),
                 o.report.cache,
                 p.partitions_scanned,
@@ -166,6 +166,7 @@ fn print_outcome(outcome: &SqlOutcome, out: &mut impl Write) -> std::io::Result<
                 p.pruned_by_limit,
                 p.pruned_by_join,
                 p.pruned_by_topk,
+                p.leaves_cut_off,
             )
         }
     }
