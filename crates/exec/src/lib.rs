@@ -5,8 +5,8 @@
 //! scans. Every scan runs through the async prefetch pipeline in `scan.rs`
 //! (up to `ExecConfig::prefetch_depth` partition loads in flight per lane,
 //! with completion-time pruning re-checks that cancel in-flight loads
-//! free). See `pool.rs` for the worker model and `session.rs` for the
-//! multi-query driver.
+//! free). See `pool.rs` for the worker model, `session.rs` for the
+//! multi-query driver and `dml.rs` for partition-local DELETE/UPDATE.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +14,7 @@
 pub mod admission;
 pub mod agg;
 pub mod config;
+pub mod dml;
 pub mod exec;
 pub mod pool;
 pub mod rows;

@@ -16,10 +16,11 @@
 //! With `ExecConfig::predicate_cache` on, the session additionally owns
 //! the shared (mutex-guarded) §8.2 [`PredicateCache`]: every per-query
 //! executor consults it at admission, and DML routed through the session's
-//! [`Session::insert_rows`] / [`Session::delete_rows`] /
-//! [`Session::update_rows`] wrappers (or raw results via
-//! [`Session::on_dml`]) keeps the cached entries consistent with the
-//! paper's correctness rules.
+//! [`Session::insert_rows`] / [`Session::delete_where`] /
+//! [`Session::update_where`] (the SQL path, in `dml.rs`), the row-closure
+//! [`Session::delete_rows`] / [`Session::update_rows`] wrappers, or raw
+//! results via [`Session::on_dml`] keeps the cached entries consistent
+//! with the paper's correctness rules.
 
 use parking_lot::Mutex;
 use snowprune_cache::{CacheStats, DmlKind, PredicateCache};

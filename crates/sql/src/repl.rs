@@ -140,7 +140,12 @@ fn print_outcome(outcome: &SqlOutcome, out: &mut impl Write) -> std::io::Result<
             verb,
             table,
             rows_affected,
-        } => writeln!(out, "-- {verb} {rows_affected} row(s) in {table}"),
+            partitions_removed,
+            partitions_added,
+        } => writeln!(
+            out,
+            "-- {verb} {rows_affected} row(s) in {table}; partitions -{partitions_removed} +{partitions_added}"
+        ),
         SqlOutcome::Rows(o) => {
             let names: Vec<&str> = o
                 .rows
@@ -254,10 +259,42 @@ mod tests {
              DELETE FROM dim WHERE id >= 777\n\
              SELECT * FROM dim WHERE id >= 777\n",
         );
-        assert!(out.contains("-- INSERT 2 row(s) in dim"), "{out}");
+        assert!(
+            out.contains("-- INSERT 2 row(s) in dim; partitions -0 +1\n"),
+            "{out}"
+        );
         assert!(out.contains("777 | 1"), "{out}");
-        assert!(out.contains("-- DELETE 2 row(s) in dim"), "{out}");
+        // The inserted partition holds only the two rows: fully matching,
+        // dropped without a rebuild.
+        assert!(
+            out.contains("-- DELETE 2 row(s) in dim; partitions -1 +0\n"),
+            "{out}"
+        );
         assert!(out.contains("-- 0 row(s);"), "{out}");
+    }
+
+    #[test]
+    fn narrow_writes_report_the_partitions_they_rewrite() {
+        let s = session(false);
+        // `fact` is clustered on `a`, 50 rows a partition: rows 100..=104
+        // live in one partition, which is rewritten; the other 23 are kept.
+        let out = drive(
+            &s,
+            "DELETE FROM fact WHERE a BETWEEN 100 AND 104\n\
+             UPDATE fact SET c = 'x' WHERE a BETWEEN 400 AND 449\n\
+             UPDATE fact SET c = c WHERE a < 300\n\
+             DELETE FROM fact WHERE a > 5000\n",
+        );
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "-- DELETE 5 row(s) in fact; partitions -1 +1",
+                "-- UPDATE 50 row(s) in fact; partitions -1 +1",
+                "-- UPDATE 0 row(s) in fact; partitions -0 +0",
+                "-- DELETE 0 row(s) in fact; partitions -0 +0",
+            ]
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `session.run_sql("SELECT …")`.
 
 use snowprune_exec::{QueryOutput, Session};
-use snowprune_expr::{eval_predicate, eval_value, Expr};
-use snowprune_types::{Result, Value};
+use snowprune_storage::DmlResult;
+use snowprune_types::Result;
 
 use crate::bind::{bind_sql, Statement};
 
@@ -16,15 +16,32 @@ use crate::bind::{bind_sql, Statement};
 pub enum SqlOutcome {
     /// A SELECT: result rows plus the executor's pruning/cache report.
     Rows(Box<QueryOutput>),
-    /// A DML statement: what it did, to how many rows.
+    /// A DML statement: what it did, to how many rows and partitions.
     Dml {
         /// The SQL verb (`INSERT`, `DELETE`, `UPDATE`).
         verb: &'static str,
         /// Target table.
         table: String,
-        /// Rows inserted/deleted/updated.
+        /// Rows inserted or deleted; for UPDATE, the rows whose values
+        /// actually changed.
         rows_affected: u64,
+        /// Partitions the statement removed (rewritten or dropped).
+        partitions_removed: usize,
+        /// Partitions the statement added (inserted or rewritten).
+        partitions_added: usize,
     },
+}
+
+impl SqlOutcome {
+    fn dml(verb: &'static str, table: String, res: &DmlResult) -> SqlOutcome {
+        SqlOutcome::Dml {
+            verb,
+            table,
+            rows_affected: res.rows_affected,
+            partitions_removed: res.partitions_removed.len(),
+            partitions_added: res.partitions_added.len(),
+        }
+    }
 }
 
 /// SQL entry point for [`Session`]: parse, bind against the session's
@@ -32,15 +49,9 @@ pub enum SqlOutcome {
 pub trait SessionSqlExt {
     /// Run one SQL statement. SELECTs execute on the session's shared
     /// morsel pool and predicate cache; DML goes through the session's
-    /// cache-consistent DML wrappers.
+    /// cache-consistent DML entry points, DELETE and UPDATE partition by
+    /// partition (`Session::delete_where` / `Session::update_where`).
     fn run_sql(&self, sql: &str) -> Result<SqlOutcome>;
-}
-
-fn row_qualifies(predicate: &Option<Expr>, row: &[Value]) -> bool {
-    match predicate {
-        None => true,
-        Some(p) => eval_predicate(p, row).qualifies(),
-    }
 }
 
 impl SessionSqlExt for Session {
@@ -48,43 +59,20 @@ impl SessionSqlExt for Session {
         match bind_sql(sql, self.catalog())? {
             Statement::Query(plan) => self.run(&plan).map(|o| SqlOutcome::Rows(Box::new(o))),
             Statement::Insert { table, rows } => {
-                let affected = rows.len() as u64;
-                self.insert_rows(&table, rows)?;
-                Ok(SqlOutcome::Dml {
-                    verb: "INSERT",
-                    table,
-                    rows_affected: affected,
-                })
+                let res = self.insert_rows(&table, rows)?;
+                Ok(SqlOutcome::dml("INSERT", table, &res))
             }
             Statement::Delete { table, predicate } => {
-                let res = self.delete_rows(&table, |row| row_qualifies(&predicate, row))?;
-                Ok(SqlOutcome::Dml {
-                    verb: "DELETE",
-                    table,
-                    rows_affected: res.rows_affected,
-                })
+                let res = self.delete_where(&table, predicate.as_ref())?;
+                Ok(SqlOutcome::dml("DELETE", table, &res))
             }
             Statement::Update {
                 table,
                 sets,
                 predicate,
             } => {
-                let res = self.update_rows(&table, |row| {
-                    if !row_qualifies(&predicate, row) {
-                        return row.to_vec();
-                    }
-                    let mut out = row.to_vec();
-                    // Assignments all read the *old* row, SQL-style.
-                    for (idx, e) in &sets {
-                        out[*idx] = eval_value(e, row);
-                    }
-                    out
-                })?;
-                Ok(SqlOutcome::Dml {
-                    verb: "UPDATE",
-                    table,
-                    rows_affected: res.rows_affected,
-                })
+                let res = self.update_where(&table, &sets, predicate.as_ref())?;
+                Ok(SqlOutcome::dml("UPDATE", table, &res))
             }
         }
     }

@@ -25,4 +25,4 @@ pub use lake::{DataFile, LakePruneStats, LakeTable, ManifestEntry, PageMeta, Row
 pub use partition::{MicroPartition, PartitionId, PartitionMeta};
 pub use prefetch::{AsyncLake, LoadTicket};
 pub use schema::{Field, Schema};
-pub use table::{DmlResult, Layout, Table, TableBuilder};
+pub use table::{DmlResult, Layout, PartitionEdit, Table, TableBuilder};

@@ -72,6 +72,17 @@ impl Schema {
             .ok_or_else(|| Error::UnknownColumn(name.to_owned()))
     }
 
+    /// Names of the columns whose `mask` entry is set, in schema order
+    /// (DML's changed-column set).
+    pub fn names_where(&self, mask: &[bool]) -> Vec<String> {
+        self.fields
+            .iter()
+            .zip(mask)
+            .filter(|(_, set)| **set)
+            .map(|(f, _)| f.name.clone())
+            .collect()
+    }
+
     /// True when a column with `name` exists.
     pub fn contains(&self, name: &str) -> bool {
         self.fields.iter().any(|f| f.name == name)

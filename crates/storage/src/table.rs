@@ -190,6 +190,23 @@ pub struct DmlResult {
     pub new_version: u64,
 }
 
+/// What a DML partition visitor ([`Table::rewrite_partitions`]) decides
+/// for one partition.
+#[derive(Clone, Debug, PartialEq)]
+pub enum PartitionEdit {
+    /// Unchanged: carried over as the same `Arc`, under its id.
+    Keep,
+    /// Rebuilt from `rows` under a fresh id at the old position (dropped
+    /// when `rows` is empty).
+    Rewrite {
+        /// The partition's rows after the statement, in row order.
+        rows: Vec<Vec<Value>>,
+        /// Rows the statement deleted or changed, added to
+        /// [`DmlResult::rows_affected`].
+        affected: u64,
+    },
+}
+
 /// What a DML row visitor decides for one row.
 enum RowEdit {
     /// Unchanged: the row already materialized for the visit is reused.
@@ -372,9 +389,7 @@ impl Table {
         &mut self,
         f: impl Fn(&[Value]) -> Vec<Value>,
     ) -> (DmlResult, Vec<String>) {
-        let ncols = self.schema.len();
-        let mut col_changed = vec![false; ncols];
-        let mut changed_rows = 0u64;
+        let mut col_changed = vec![false; self.schema.len()];
         let res = self.rewrite_rows(|row| {
             let new = f(row);
             debug_assert_eq!(new.len(), row.len());
@@ -386,33 +401,51 @@ impl Table {
                 }
             }
             if any {
-                changed_rows += 1;
                 RowEdit::Replace(new)
             } else {
                 RowEdit::Keep
             }
         });
-        let changed_columns = self
-            .schema
-            .fields()
-            .iter()
-            .zip(&col_changed)
-            .filter(|(_, c)| **c)
-            .map(|(f, _)| f.name.clone())
-            .collect();
-        (
-            DmlResult {
-                rows_affected: changed_rows,
-                ..res
-            },
-            changed_columns,
-        )
+        (res, self.schema.names_where(&col_changed))
     }
 
-    /// Copy-on-write rewrite: every partition holding a row `f` drops or
-    /// replaces is rebuilt under a fresh id *at the old position*; the
-    /// others are carried over as they are.
+    /// The per-row adapter over [`Table::rewrite_partitions`]: every
+    /// partition holding a row `f` drops or replaces is rewritten, and the
+    /// rows `f` keeps are the ones already materialized for the visit.
     fn rewrite_rows(&mut self, mut f: impl FnMut(&[Value]) -> RowEdit) -> DmlResult {
+        self.rewrite_partitions(|p| {
+            let mut rows = Vec::with_capacity(p.row_count());
+            let mut affected = 0u64;
+            for i in 0..p.row_count() {
+                let row = p.row(i);
+                match f(&row) {
+                    RowEdit::Keep => rows.push(row),
+                    RowEdit::Replace(new) => {
+                        affected += 1;
+                        rows.push(new);
+                    }
+                    RowEdit::Drop => affected += 1,
+                }
+            }
+            if affected == 0 {
+                PartitionEdit::Keep
+            } else {
+                PartitionEdit::Rewrite { rows, affected }
+            }
+        })
+    }
+
+    /// Copy-on-write DML, one partition at a time: `edit` sees every
+    /// partition in table order; a [`PartitionEdit::Rewrite`] is rebuilt
+    /// under a fresh id *at the old position*, a [`PartitionEdit::Keep`]
+    /// is carried over as it is. This is the table's only rewrite loop:
+    /// the row-closure DML above is an adapter over it, and a caller that
+    /// can decide from a partition's metadata skips its rows entirely.
+    /// The statement bumps the version even when nothing changed.
+    pub fn rewrite_partitions(
+        &mut self,
+        mut edit: impl FnMut(&MicroPartition) -> PartitionEdit,
+    ) -> DmlResult {
         let mut removed = Vec::new();
         let mut added = Vec::new();
         let mut affected = 0u64;
@@ -421,28 +454,13 @@ impl Table {
             .unwrap_or_else(|shared| shared.to_vec());
         Arc::make_mut(&mut self.partitions).reserve(old.len());
         for p in old {
-            let mut new_rows = Vec::with_capacity(p.row_count());
-            let mut dirty = false;
-            for i in 0..p.row_count() {
-                let row = p.row(i);
-                match f(&row) {
-                    RowEdit::Keep => new_rows.push(row),
-                    RowEdit::Replace(new) => {
-                        dirty = true;
-                        affected += 1;
-                        new_rows.push(new);
-                    }
-                    RowEdit::Drop => {
-                        dirty = true;
-                        affected += 1;
-                    }
+            match edit(&p) {
+                PartitionEdit::Keep => Arc::make_mut(&mut self.partitions).push(p),
+                PartitionEdit::Rewrite { rows, affected: n } => {
+                    affected += n;
+                    removed.push(p.meta.id);
+                    added.extend(self.append_partitions(rows));
                 }
-            }
-            if dirty {
-                removed.push(p.meta.id);
-                added.extend(self.append_partitions(new_rows));
-            } else {
-                Arc::make_mut(&mut self.partitions).push(p);
             }
         }
         self.rebuild_slots();

@@ -254,20 +254,21 @@ fn pruning_is_result_invariant_across_50_workloads() {
 // ---- the predicate-cache leg ---------------------------------------------
 
 /// Random DML statement applied *through the session*, so the predicate
-/// cache sees every result. Inserted rows use fresh unique `a` keys and
+/// cache sees every result; DELETE and UPDATE go through `run_sql`, i.e.
+/// the partition-local path. Inserted rows use fresh unique `a` keys and
 /// `a`-updates shift by a large disjoint offset, preserving the unique-key
 /// invariant the Ordered checks rely on.
 fn apply_random_dml(rng: &mut StdRng, session: &Session, wl: &Workload, next_a: &mut i64) {
     let schema = &wl.fact_schema;
-    let a = schema.index_of("a").unwrap();
-    let c = schema.index_of("c").unwrap();
     let cats = ["red", "green", "blue", "teal"];
     let hi = wl.fact_rows as i64;
     let lo = rng.random_range(0..hi);
     let span = rng.random_range(0..hi / 8 + 1);
-    let in_band = |row: &[Value]| match &row[a] {
-        Value::Int(x) => *x >= lo && *x <= lo + span,
-        _ => false,
+    let in_band = format!("WHERE a BETWEEN {lo} AND {}", lo + span);
+    let run = |sql: String| {
+        session
+            .run_sql(&sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e:?}"))
     };
     match rng.random_range(0u32..5) {
         0 => {
@@ -293,51 +294,23 @@ fn apply_random_dml(rng: &mut StdRng, session: &Session, wl: &Workload, next_a: 
         }
         1 => {
             // DELETE an `a` band (unsafe for top-k entries).
-            session.delete_rows("fact", |row| in_band(row)).unwrap();
+            run(format!("DELETE FROM fact {in_band}"));
         }
         2 => {
             // UPDATE the predicate column `b` (moves rows into/out of
-            // predicate ranges in arbitrary partitions).
+            // predicate ranges in arbitrary partitions; NULL stays NULL).
             let delta = rng.random_range(-300i64..300);
-            session
-                .update_rows("fact", |row| {
-                    let mut r = row.to_vec();
-                    if in_band(row) {
-                        if let Value::Int(b) = r[schema.index_of("b").unwrap()] {
-                            r[schema.index_of("b").unwrap()] = Value::Int(b + delta);
-                        }
-                    }
-                    r
-                })
-                .unwrap();
+            run(format!("UPDATE fact SET b = b + {delta} {in_band}"));
         }
         3 => {
             // UPDATE the category column `c`.
             let cat = cats[rng.random_range(0usize..cats.len())];
-            session
-                .update_rows("fact", |row| {
-                    let mut r = row.to_vec();
-                    if in_band(row) {
-                        r[c] = Value::Str(cat.into());
-                    }
-                    r
-                })
-                .unwrap();
+            run(format!("UPDATE fact SET c = '{cat}' {in_band}"));
         }
         _ => {
             // UPDATE the ordering/unique column `a` by a disjoint offset
             // (unsafe for top-k entries ordered on `a`; keys stay unique).
-            session
-                .update_rows("fact", |row| {
-                    let mut r = row.to_vec();
-                    if in_band(row) {
-                        if let Value::Int(x) = r[a] {
-                            r[a] = Value::Int(x + 10_000_000);
-                        }
-                    }
-                    r
-                })
-                .unwrap();
+            run(format!("UPDATE fact SET a = a + 10000000 {in_band}"));
         }
     }
 }
