@@ -361,8 +361,20 @@ mod tests {
         assert!(s.contains("Figure 6"));
         let s = fig12_repetitiveness(4);
         assert!(s.contains("3 days"));
-        let s = tab1_query_mix(800, 5);
-        assert!(s.contains("Table 1"));
+    }
+
+    #[test]
+    fn tab1_smoke_scale_is_pinned() {
+        // `reproduce --smoke tab1`: 1 000 queries at the harness seed.
+        assert_eq!(
+            tab1_query_mix(1_000, 20241105),
+            "## Table 1 — LIMIT/top-k query mix (measured vs paper)\n\
+             \x20 LIMIT w/o predicate :  0.40%  (paper 0.37%)\n\
+             \x20 LIMIT w/ predicate  :  2.40%  (paper 2.23%)\n\
+             \x20 ORDER BY x LIMIT k  :  5.40%  (paper 4.47%)\n\
+             \x20 GROUP/ORDER key     :  0.10%  (paper 0.12%)\n\
+             \x20 GROUP/ORDER agg     :  1.20%  (paper 0.96%)\n"
+        );
     }
 
     #[test]
