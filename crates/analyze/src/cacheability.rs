@@ -41,11 +41,6 @@ pub struct CacheReport {
 }
 
 impl CacheReport {
-    /// True when the plan is eligible for the predicate cache.
-    pub fn is_cacheable(&self) -> bool {
-        self.shape.is_some()
-    }
-
     fn cacheable(shape: CacheShape, reason: impl Into<String>) -> Self {
         CacheReport {
             shape: Some(shape),

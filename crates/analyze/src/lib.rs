@@ -322,7 +322,7 @@ mod tests {
             .build();
         let a = analyze(&p);
         assert!(a.is_clean(), "{:?}", a.diagnostics);
-        assert!(a.cacheability.is_cacheable());
+        assert!(a.cacheability.shape.is_some());
         assert!(a.diagnostics.iter().any(|d| d.code == DiagCode::Cacheable));
         assert!(a
             .diagnostics
@@ -414,7 +414,7 @@ mod tests {
         let a = analyze(&p);
         // Whether or not this exact shape classifies as a join top-k, it
         // must not be cacheable, and if it classifies the warning fires.
-        assert!(!a.cacheability.is_cacheable());
+        assert!(a.cacheability.shape.is_none());
     }
 
     #[test]
@@ -443,7 +443,7 @@ mod tests {
         // A predicated chain under a bare LIMIT *is* split by the chain
         // walk in the executor... the LIMIT node itself blocks the chain,
         // so it is not cacheable.
-        assert!(!a.cacheability.is_cacheable());
+        assert!(a.cacheability.shape.is_none());
     }
 
     #[test]

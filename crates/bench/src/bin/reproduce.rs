@@ -117,7 +117,7 @@ fn main() {
                     // (`ProductionScaleConfig::default()`: 512 tenants,
                     // 2048 arrivals, 100k partitions) is the full
                     // production scale — pass it through
-                    // `ext_production` when wall-clock budget allows.
+                    // `ext_production_snap` when wall-clock budget allows.
                     let scale = ProductionScaleConfig {
                         tenants: 256,
                         queries: 512,

@@ -4,9 +4,9 @@
 use snowprune_core::topk::PartitionOrder;
 use snowprune_core::{LimitOutcome, TechniqueSet, UnsupportedReason};
 use snowprune_exec::{ExecConfig, Executor, QueryOutput};
+use snowprune_plan::{detect_topk, limit_pushdown, LimitPushdown, Plan, TopKShape};
 use snowprune_workload::{
-    classify_workload, generate, occurrence_histogram, repetition_shape_ids, sample_k, QueryKind,
-    SqlClass, WorkloadConfig,
+    generate, occurrence_histogram, repetition_shape_ids, sample_k, QueryKind, WorkloadConfig,
 };
 
 use crate::report::{cdf_table, share, summarize};
@@ -97,7 +97,51 @@ pub fn fig04_filter_cdf(queries: usize, seed: u64) -> String {
     s
 }
 
-/// Table 1: query-type frequencies via SQL-text pattern matching.
+/// A Table 1 row: the LIMIT and top-k query patterns the paper counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tab1Class {
+    /// LIMIT k with no predicate.
+    LimitNoPredicate,
+    /// LIMIT k below at least one predicate.
+    LimitWithPredicate,
+    /// ORDER BY x LIMIT k over a scan or a join.
+    OrderByLimit,
+    /// GROUP BY x ORDER BY x LIMIT k (ordering on a grouping key).
+    GroupOrderKey,
+    /// GROUP BY y ORDER BY agg(x) LIMIT k.
+    GroupOrderAgg,
+}
+
+/// The Table 1 row a plan falls in, read with the engine's own plan
+/// analyses (LIMIT pushdown and top-k shape detection), or `None` when the
+/// plan is none of the five patterns.
+fn tab1_class(plan: &Plan) -> Option<Tab1Class> {
+    if let LimitPushdown::Supported { predicates, .. } = limit_pushdown(plan) {
+        return Some(if predicates.is_empty() {
+            Tab1Class::LimitNoPredicate
+        } else {
+            Tab1Class::LimitWithPredicate
+        });
+    }
+    match detect_topk(plan) {
+        Some(spec) if spec.shape == TopKShape::AboveAggregation => Some(Tab1Class::GroupOrderKey),
+        Some(_) => Some(Tab1Class::OrderByLimit),
+        // Detection rejects a top-k over an aggregate only when it orders
+        // by an aggregate output.
+        None => match plan {
+            Plan::Limit { input, .. } => match input.as_ref() {
+                Plan::Sort { input, .. } if matches!(input.as_ref(), Plan::Aggregate { .. }) => {
+                    Some(Tab1Class::GroupOrderAgg)
+                }
+                _ => None,
+            },
+            _ => None,
+        },
+    }
+}
+
+/// Table 1: query-type frequencies, each plan classified by the engine's
+/// own LIMIT and top-k plan analyses.
 pub fn tab1_query_mix(queries: usize, seed: u64) -> String {
     let wl = generate(
         &WorkloadConfig {
@@ -107,35 +151,29 @@ pub fn tab1_query_mix(queries: usize, seed: u64) -> String {
         },
         seed,
     );
-    let shares = classify_workload(wl.queries.iter().map(|q| q.sql.as_str()));
-    let get = |c: SqlClass| {
-        shares
+    let total = wl.queries.len().max(1) as f64;
+    let pct = |c: Tab1Class| {
+        let n = wl
+            .queries
             .iter()
-            .find(|(k, _)| *k == c)
-            .map(|(_, v)| *v * 100.0)
-            .unwrap_or(0.0)
+            .filter(|q| tab1_class(&q.plan) == Some(c))
+            .count();
+        n as f64 / total * 100.0
     };
     let mut s = String::from("## Table 1 — LIMIT/top-k query mix (measured vs paper)\n");
-    s += &format!(
-        "  LIMIT w/o predicate : {:>5.2}%  (paper 0.37%)\n",
-        get(SqlClass::LimitNoPredicate)
-    );
-    s += &format!(
-        "  LIMIT w/ predicate  : {:>5.2}%  (paper 2.23%)\n",
-        get(SqlClass::LimitWithPredicate)
-    );
-    s += &format!(
-        "  ORDER BY x LIMIT k  : {:>5.2}%  (paper 4.47%)\n",
-        get(SqlClass::OrderByLimit)
-    );
-    s += &format!(
-        "  GROUP/ORDER key     : {:>5.2}%  (paper 0.12%)\n",
-        get(SqlClass::GroupByOrderByKeyLimit)
-    );
-    s += &format!(
-        "  GROUP/ORDER agg     : {:>5.2}%  (paper 0.96%)\n",
-        get(SqlClass::GroupByOrderByAggLimit)
-    );
+    for (label, class, paper) in [
+        ("LIMIT w/o predicate ", Tab1Class::LimitNoPredicate, "0.37"),
+        (
+            "LIMIT w/ predicate  ",
+            Tab1Class::LimitWithPredicate,
+            "2.23",
+        ),
+        ("ORDER BY x LIMIT k  ", Tab1Class::OrderByLimit, "4.47"),
+        ("GROUP/ORDER key     ", Tab1Class::GroupOrderKey, "0.12"),
+        ("GROUP/ORDER agg     ", Tab1Class::GroupOrderAgg, "0.96"),
+    ] {
+        s += &format!("  {label}: {:>5.2}%  (paper {paper}%)\n", pct(class));
+    }
     s
 }
 
@@ -361,6 +399,78 @@ mod tests {
         assert!(s.contains("Figure 6"));
         let s = fig12_repetitiveness(4);
         assert!(s.contains("3 days"));
+    }
+
+    #[test]
+    fn tab1_classes_each_generator_arm() {
+        use snowprune_expr::dsl::{col, lit};
+        use snowprune_plan::{AggFunc, JoinType, PlanBuilder};
+        use snowprune_storage::{Field, Schema};
+        use snowprune_types::ScalarType;
+        let events = || {
+            let f = |n: &str, t| Field::new(n, t);
+            PlanBuilder::scan(
+                "events",
+                Schema::new(vec![
+                    f("ts", ScalarType::Int),
+                    f("user_id", ScalarType::Int),
+                    f("category", ScalarType::Str),
+                    f("metric", ScalarType::Int),
+                ]),
+            )
+        };
+        let dim = PlanBuilder::scan(
+            "dim",
+            Schema::new(vec![
+                Field::new("id", ScalarType::Int),
+                Field::new("weight", ScalarType::Int),
+            ]),
+        );
+        let narrow = || col("ts").between(lit(100i64), lit(200i64));
+        let cases = [
+            (events().limit(10), Some(Tab1Class::LimitNoPredicate)),
+            (
+                events().filter(narrow()).limit(10),
+                Some(Tab1Class::LimitWithPredicate),
+            ),
+            (
+                events().filter(narrow()).order_by("ts", true).limit(5),
+                Some(Tab1Class::OrderByLimit),
+            ),
+            (
+                events().order_by("metric", false).limit(5),
+                Some(Tab1Class::OrderByLimit),
+            ),
+            (
+                events()
+                    .aggregate(vec!["ts"], vec![AggFunc::CountStar])
+                    .order_by("ts", true)
+                    .limit(5),
+                Some(Tab1Class::GroupOrderKey),
+            ),
+            (
+                events()
+                    .aggregate(vec!["category"], vec![AggFunc::Sum("metric".into())])
+                    .order_by("sum_metric", true)
+                    .limit(5),
+                Some(Tab1Class::GroupOrderAgg),
+            ),
+            (
+                dim.filter(col("weight").lt(lit(3i64))).join(
+                    events().filter(narrow()),
+                    "id",
+                    "user_id",
+                    JoinType::Inner,
+                ),
+                None,
+            ),
+            (events().filter(narrow()), None),
+            (events().project(vec!["ts", "metric"]), None),
+        ];
+        for (b, want) in cases {
+            let plan = b.build();
+            assert_eq!(tab1_class(&plan), want, "{plan}");
+        }
     }
 
     #[test]

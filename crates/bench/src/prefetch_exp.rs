@@ -43,22 +43,7 @@ fn sum_io(outs: &[IoSnapshot]) -> IoSnapshot {
     total
 }
 
-/// Run the prefetch experiment at default scale.
-pub fn ext_prefetch(seed: u64) -> String {
-    ext_prefetch_sized(seed, 12, 400, 60)
-}
-
-/// Size-parameterized variant (smoke runs use a tiny workload).
-pub fn ext_prefetch_sized(
-    seed: u64,
-    queries: usize,
-    rows_per_partition: usize,
-    fact_partitions: usize,
-) -> String {
-    ext_prefetch_snap(seed, queries, rows_per_partition, fact_partitions).0
-}
-
-/// Like [`ext_prefetch_sized`], additionally returning the measured
+/// Run the prefetch experiment, returning the report and the measured
 /// numbers as a tracked [`Snapshot`] for `BENCH_prefetch.json`. The
 /// numbers come off the deterministic virtual clock, so this snapshot is
 /// exact rather than sampled.
@@ -201,7 +186,7 @@ mod tests {
 
     #[test]
     fn prefetch_experiment_runs_small() {
-        let s = ext_prefetch_sized(7, 4, 50, 8);
+        let s = ext_prefetch_snap(7, 4, 50, 8).0;
         assert!(s.contains("I/O-bound burst"));
         assert!(s.contains("loads cancelled"));
         assert!(s.contains("blocking wall = io + cpu exactly: true"));

@@ -36,19 +36,9 @@ fn lake_model() -> IoCostModel {
     }
 }
 
-/// Run the production experiment at default scale (512 tenants, 2048
-/// arrivals, a 100k-partition lake).
-pub fn ext_production(seed: u64) -> String {
-    ext_production_snap(seed, &ProductionScaleConfig::default(), 8).0
-}
-
-/// Size-parameterized variant (smoke runs use a tiny lake).
-pub fn ext_production_sized(seed: u64, cfg: &ProductionScaleConfig, workers: usize) -> String {
-    ext_production_snap(seed, cfg, workers).0
-}
-
-/// Like [`ext_production_sized`], additionally returning the measured
-/// numbers as a tracked [`Snapshot`] for `BENCH_production.json`. All
+/// Run the production experiment over `scale` with `workers` pool
+/// threads, returning the report and the measured numbers as a tracked
+/// [`Snapshot`] for `BENCH_production.json`. All
 /// numbers come off deterministic virtual clocks, so the snapshot is
 /// exact rather than sampled.
 pub fn ext_production_snap(
@@ -228,7 +218,7 @@ mod tests {
             rows_per_partition: 8,
             zipf_s: 1.1,
         };
-        let s = ext_production_sized(7, &cfg, 4);
+        let s = ext_production_snap(7, &cfg, 4).0;
         assert!(s.contains("byte-identical to sequential runs"));
         assert!(s.contains("adaptive depth"));
     }

@@ -78,15 +78,10 @@ pub fn fig13_tpch_unclustered(scale: f64, seed: u64) -> String {
 /// [`Session`] keeps entries consistent. Every claim in the report is
 /// asserted: warm rows are byte-identical to cold, the shuffled-layout
 /// warm replay loads *strictly fewer* partitions, INSERT keeps the entry
-/// (appending the new partitions), DELETE invalidates it.
-pub fn ext_cache(seed: u64) -> String {
-    ext_cache_snap(seed).0
-}
-
-/// Like [`ext_cache`], additionally returning the cold/warm partition
-/// loads as a tracked [`crate::snapshot::Snapshot`] for
-/// `BENCH_cache.json`. The counters are deterministic, so the snapshot is
-/// exact rather than sampled.
+/// (appending the new partitions), DELETE invalidates it. Returns the
+/// report and the cold/warm partition loads as a tracked
+/// [`crate::snapshot::Snapshot`] for `BENCH_cache.json`. The counters are
+/// deterministic, so the snapshot is exact rather than sampled.
 pub fn ext_cache_snap(seed: u64) -> (String, crate::snapshot::Snapshot) {
     use snowprune_expr::dsl::{col, lit};
     use snowprune_storage::{Catalog, Field, Layout, Schema, TableBuilder};
@@ -409,7 +404,7 @@ mod tests {
         // The experiment asserts its own claims (byte-identical warm rows,
         // strictly fewer shuffled warm loads, INSERT append, DELETE
         // invalidation) — reaching the report text means they all held.
-        let s = super::ext_cache(5);
+        let s = super::ext_cache_snap(5).0;
         assert!(s.contains("warm replays"), "{s}");
         assert!(s.contains("DELETE invalidated"), "{s}");
     }

@@ -465,20 +465,6 @@ impl PredicateCache {
             self.stats.stale_rejections += 1;
         }
     }
-
-    /// Drop every entry for a table (e.g. table replaced).
-    pub fn invalidate_table(&mut self, table: &str) {
-        let doomed: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.table == table)
-            .map(|(fp, _)| *fp)
-            .collect();
-        self.stats.invalidations += doomed.len() as u64;
-        for fp in doomed {
-            self.remove_entry(fp);
-        }
-    }
 }
 
 /// Every auxiliary table still carries the version the entry recorded.
@@ -1094,20 +1080,5 @@ mod tests {
             CacheLookup::ShapeHit(vec![1, 2])
         );
         assert_eq!(c.stats().shape_hits, 1);
-    }
-
-    #[test]
-    fn invalidate_table_drops_all() {
-        let mut c = PredicateCache::new(4);
-        c.insert(1, topk_entry());
-        c.insert(2, topk_entry());
-        c.invalidate_table("t");
-        assert!(c.is_empty());
-        // Eviction bookkeeping stays consistent after the wipe.
-        c.insert(3, topk_entry());
-        c.insert(4, topk_entry());
-        c.insert(5, topk_entry());
-        c.insert(6, topk_entry());
-        assert_eq!(c.len(), 4);
     }
 }

@@ -22,8 +22,8 @@
 //! would have pruned. So a cheap leaf that has pruned nothing yet (the
 //! upper bound of a clustered range, before the range starts) is kept far
 //! past the point where its ratio alone would condemn it, while a slow
-//! pruner set with [`FilterPruner::set_leaf_cost`] is still cut off at the
-//! first check.
+//! pruner (a leaf whose modelled [`LeafPruner::cost_ns`] is high) is still
+//! cut off at the first check.
 
 #![allow(clippy::field_reassign_with_default)] // config tweak idiom
 
@@ -129,8 +129,8 @@ pub struct LeafPruner {
     pub enabled: bool,
     /// Whether every ancestor is an AND node (cutoff precondition).
     pub cutoff_allowed: bool,
-    /// Modelled cost charged per evaluation, nanoseconds (100 unless
-    /// overridden by [`FilterPruner::set_leaf_cost`]).
+    /// Modelled cost charged per evaluation, nanoseconds (100; the tests
+    /// raise it to model a slow pruner).
     pub cost_ns: u64,
 }
 
@@ -277,6 +277,7 @@ impl PruneNode {
         }
     }
 
+    #[cfg(test)]
     fn for_each_leaf_mut(&mut self, f: &mut impl FnMut(&mut LeafPruner)) {
         match self {
             PruneNode::Leaf(l) => f(l),
@@ -351,18 +352,6 @@ impl FilterPruner {
             evaluated: 0,
             charged_ns: 0,
         }
-    }
-
-    /// Override the modelled per-evaluation cost of the `idx`-th leaf
-    /// (pre-order), e.g. to model a slow UDF-style pruner.
-    pub fn set_leaf_cost(&mut self, idx: usize, cost_ns: u64) {
-        let mut i = 0;
-        self.tree.for_each_leaf_mut(&mut |l| {
-            if i == idx {
-                l.cost_ns = cost_ns;
-            }
-            i += 1;
-        });
     }
 
     /// Evaluate one partition (runtime pruning entry point).
@@ -446,17 +435,33 @@ impl FilterPruner {
         });
         n
     }
+}
 
-    /// Pre-order leaf predicate order (exposed for reordering tests).
-    pub fn leaf_order(&self) -> Vec<String> {
+/// Hooks the tests use to model slow leaves and to observe reordering.
+#[cfg(test)]
+impl FilterPruner {
+    /// Override the modelled per-evaluation cost of the `idx`-th leaf
+    /// (pre-order), e.g. to model a slow UDF-style pruner.
+    fn set_leaf_cost(&mut self, idx: usize, cost_ns: u64) {
+        let mut i = 0;
+        self.tree.for_each_leaf_mut(&mut |l| {
+            if i == idx {
+                l.cost_ns = cost_ns;
+            }
+            i += 1;
+        });
+    }
+
+    /// Pre-order leaf predicate order.
+    fn leaf_order(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.tree
             .for_each_leaf(&mut |l| out.push(l.expr.to_string()));
         out
     }
 
-    /// Per-leaf statistics, in pre-order (exposed for adaptivity tests).
-    pub fn leaf_stats(&self) -> Vec<NodeStats> {
+    /// Per-leaf statistics, in pre-order.
+    fn leaf_stats(&self) -> Vec<NodeStats> {
         let mut out = Vec::new();
         self.tree.for_each_leaf(&mut |l| out.push(l.stats));
         out

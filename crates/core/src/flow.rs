@@ -131,17 +131,6 @@ impl QueryPruningReport {
             self.partitions_total - self.pruned_by_filter - self.pruned_by_limit,
         )
     }
-
-    /// Top-k-pruning ratio over what the other three techniques left.
-    pub fn topk_ratio(&self) -> f64 {
-        ratio(
-            self.pruned_by_topk,
-            self.partitions_total
-                - self.pruned_by_filter
-                - self.pruned_by_limit
-                - self.pruned_by_join,
-        )
-    }
 }
 
 fn ratio(pruned: u64, base: u64) -> f64 {
@@ -241,7 +230,6 @@ mod tests {
         };
         assert_eq!(r.filter_ratio(), 0.5);
         assert_eq!(r.join_ratio(), 0.5); // 25 of the remaining 50
-        assert_eq!(r.topk_ratio(), 0.4); // 10 of the remaining 25
         assert_eq!(r.overall_pruning_ratio(), 0.85);
         assert_eq!(r.techniques_used().label(), "filter+join+topk");
     }

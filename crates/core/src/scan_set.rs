@@ -81,21 +81,11 @@ impl ScanSet {
         self.entries.iter().map(|e| e.row_count).sum()
     }
 
-    /// Total bytes across surviving partitions.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
     /// Entries classified fully-matching (§4.1).
     pub fn fully_matching(&self) -> impl Iterator<Item = &ScanEntry> {
         self.entries
             .iter()
             .filter(|e| e.class == MatchClass::FullyMatching)
-    }
-
-    /// Total rows in fully-matching partitions.
-    pub fn fully_matching_rows(&self) -> u64 {
-        self.fully_matching().map(|e| e.row_count).sum()
     }
 
     /// Approximate wire size of the serialized scan set (benefit (4) of
@@ -138,7 +128,7 @@ mod tests {
             ],
         };
         assert_eq!(ss.fully_matching().count(), 2);
-        assert_eq!(ss.fully_matching_rows(), 25);
+        assert_eq!(ss.fully_matching().map(|e| e.row_count).sum::<u64>(), 25);
         assert_eq!(ss.total_rows(), 35);
     }
 

@@ -54,16 +54,6 @@ impl Boundary {
         })
     }
 
-    /// Create with an upfront initial value (§5.4); seeded bounds use
-    /// strict skipping.
-    pub fn with_initial(desc: bool, initial: Option<Value>) -> Arc<Self> {
-        Arc::new(Boundary {
-            desc,
-            value: RwLock::new((initial, false)),
-            epoch: AtomicU64::new(0),
-        })
-    }
-
     /// The sort direction the boundary tracks.
     pub fn desc(&self) -> bool {
         self.desc
@@ -72,11 +62,6 @@ impl Boundary {
     /// Current boundary value, if one has been published.
     pub fn get(&self) -> Option<Value> {
         self.value.read().0.clone()
-    }
-
-    /// Whether the inclusive skip rule currently applies.
-    pub fn is_inclusive(&self) -> bool {
-        self.value.read().1
     }
 
     /// Consistent snapshot of `(bound, inclusive)` — what a scan worker
@@ -233,11 +218,6 @@ impl<T> TopKHeap<T> {
     /// True when the heap holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// True once `k` rows are held (the boundary is live from here on).
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.k
     }
 
     /// Offer a row. NULL keys are ignored (NULLS LAST semantics).
@@ -570,7 +550,7 @@ mod tests {
         h.insert(Value::Null, 0);
         h.insert(Value::Int(4), 4);
         assert_eq!(h.len(), 1);
-        assert!(!h.is_full());
+        assert!(h.len() < h.k);
     }
 
     #[test]

@@ -196,6 +196,7 @@ impl ExecConfig {
     }
 
     /// Builder-style override for the vectorized batch size (clamped to ≥ 1).
+    // TEST-API: tests/common/lattice.rs sweeps batch sizes (knob-audit candidate).
     pub fn with_batch_rows(mut self, n: usize) -> Self {
         self.batch_rows = n.max(1);
         self
@@ -231,12 +232,14 @@ impl ExecConfig {
     /// Builder-style toggle for batch-native joins and aggregations.
     /// `false` forces the row-at-a-time fallback operators — the
     /// differential oracle the batch-native path must match bit-for-bit.
+    // TEST-API: tests/differential.rs runs the row-fallback oracle (knob-audit candidate).
     pub fn with_batch_native(mut self, on: bool) -> Self {
         self.batch_native = on;
         self
     }
 
     /// Builder-style toggle for the admission-time static plan verifier.
+    // TEST-API: tests/common/lattice.rs toggles the verifier (knob-audit candidate).
     pub fn with_verify_plans(mut self, on: bool) -> Self {
         self.verify_plans = on;
         self

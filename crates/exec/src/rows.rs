@@ -36,24 +36,6 @@ impl RowSet {
         let idx = self.schema.index_of(name)?;
         Ok(self.rows.iter().map(|r| r[idx].clone()).collect())
     }
-
-    /// Sort rows by a column (for deterministic test comparisons).
-    pub fn sorted_by(&self, name: &str, desc: bool) -> snowprune_types::Result<RowSet> {
-        let idx = self.schema.index_of(name)?;
-        let mut rows = self.rows.clone();
-        rows.sort_by(|a, b| {
-            let ord = a[idx].total_ord_cmp(&b[idx]);
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        Ok(RowSet {
-            schema: self.schema.clone(),
-            rows,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +56,8 @@ mod tests {
             ],
         };
         assert_eq!(
-            rs.sorted_by("x", false).unwrap().column("x").unwrap(),
-            vec![Value::Int(1), Value::Int(2), Value::Int(3)]
+            rs.column("x").unwrap(),
+            vec![Value::Int(3), Value::Int(1), Value::Int(2)]
         );
         assert!(rs.column("missing").is_err());
     }

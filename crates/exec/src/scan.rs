@@ -167,6 +167,7 @@ pub struct ScanRunStats {
 
 impl ScanRunStats {
     /// Total in-flight loads cancelled before their I/O was charged.
+    // TEST-API: the `ScanRunStats` pipeline invariant tests/{stress,differential}.rs assert.
     pub fn cancelled_in_flight(&self) -> u64 {
         self.cancelled_by_boundary + self.cancelled_by_runtime_filter + self.cancelled_by_stop
     }

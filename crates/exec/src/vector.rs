@@ -104,17 +104,6 @@ impl BatchChain {
         self.map = cols.iter().map(|&c| self.map[c]).collect();
     }
 
-    /// True when the chain has no filter stages (projection-only chains
-    /// can skip selection refinement entirely).
-    pub fn has_filters(&self) -> bool {
-        !self.filters.is_empty()
-    }
-
-    /// Number of output columns.
-    pub fn output_width(&self) -> usize {
-        self.map.len()
-    }
-
     /// The partition column backing output column `out`. Batch-native
     /// consumers (join key reads, aggregate column folds) use this to
     /// reach through the projection map and read values straight off the
@@ -407,8 +396,8 @@ mod tests {
             Field::new("b", ScalarType::Int),
         ]);
         chain.push_filter(&col("b").ge(lit(50i64)).bind(&post_schema).unwrap());
-        assert!(chain.has_filters());
-        assert_eq!(chain.output_width(), 2);
+        assert!(!chain.filters.is_empty());
+        assert_eq!(chain.map.len(), 2);
         assert_eq!(chain.column_of(1), 1);
         assert_eq!(chain.column_of(0), 2);
 

@@ -8,7 +8,7 @@
 use std::fmt;
 
 use snowprune_storage::Schema;
-use snowprune_types::{Error, Result, Value};
+use snowprune_types::{Result, Value};
 
 /// A column reference. `index` is `UNRESOLVED` until [`Expr::bind`] runs.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -158,17 +158,6 @@ impl Expr {
         })
     }
 
-    /// True when every column reference has a resolved index.
-    pub fn is_bound(&self) -> bool {
-        let mut ok = true;
-        self.visit(&mut |e| {
-            if let Expr::Column(c) = e {
-                ok &= c.index != ColumnRef::UNRESOLVED;
-            }
-        });
-        ok
-    }
-
     /// All distinct column indices referenced (bound expressions only).
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut cols = Vec::new();
@@ -264,25 +253,6 @@ impl Expr {
         match self {
             Expr::And(xs) => xs.iter().flat_map(|x| x.split_conjunction()).collect(),
             other => vec![other],
-        }
-    }
-
-    /// Ensure the expression can serve as a predicate (best-effort check).
-    pub fn expect_boolean(&self) -> Result<()> {
-        match self {
-            Expr::Cmp(..)
-            | Expr::And(_)
-            | Expr::Or(_)
-            | Expr::Not(_)
-            | Expr::IsNull(_)
-            | Expr::Like(..)
-            | Expr::StartsWith(..)
-            | Expr::InList(..)
-            | Expr::If(..)
-            | Expr::Column(_)
-            | Expr::Coalesce(_) => Ok(()),
-            Expr::Literal(Value::Bool(_)) | Expr::Literal(Value::Null) => Ok(()),
-            other => Err(Error::Invalid(format!("not a boolean expression: {other}"))),
         }
     }
 }
@@ -420,10 +390,6 @@ pub mod dsl {
         pub fn is_null(self) -> Expr {
             Expr::IsNull(Box::new(self))
         }
-        /// `self IS NOT NULL`.
-        pub fn is_not_null(self) -> Expr {
-            Expr::Not(Box::new(Expr::IsNull(Box::new(self))))
-        }
         /// `self + rhs`.
         pub fn add(self, rhs: Expr) -> Expr {
             Expr::Arith(ArithOp::Add, Box::new(self), Box::new(rhs))
@@ -487,9 +453,18 @@ mod tests {
         let e = col("altit")
             .gt(lit(1500i64))
             .and(col("name").like("Marked-%-Ridge"));
-        assert!(!e.is_bound());
+        let unresolved = |e: &Expr| {
+            let mut n = 0;
+            e.visit(&mut |x| {
+                if let Expr::Column(c) = x {
+                    n += usize::from(c.index == ColumnRef::UNRESOLVED);
+                }
+            });
+            n
+        };
+        assert_eq!(unresolved(&e), 2);
         let b = e.bind(&schema()).unwrap();
-        assert!(b.is_bound());
+        assert_eq!(unresolved(&b), 0);
         assert_eq!(b.referenced_columns(), vec![1, 2]);
     }
 

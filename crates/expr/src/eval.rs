@@ -215,19 +215,12 @@ pub(crate) fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-/// Vectorized predicate evaluation over a micro-partition: one [`Truth`]
-/// per row. Common shapes (`column <op> literal` on primitive types,
-/// boolean combinators) take typed fast paths; everything else falls back
-/// to row-at-a-time evaluation.
-pub fn eval_truths(expr: &Expr, part: &MicroPartition) -> Vec<Truth> {
-    eval_truths_range(expr, part, 0, part.row_count())
-}
-
-/// Range-restricted [`eval_truths`]: evaluate the predicate on partition
-/// rows `start..start + len`. The returned vector has length `len`;
-/// element `j` is the truth value of row `start + j`. This is the engine
-/// of batch-at-a-time execution — batches evaluate only their own row
-/// window instead of the whole partition.
+/// Vectorized predicate evaluation over partition rows `start..start +
+/// len`: one [`Truth`] per row, element `j` for row `start + j`. Common
+/// shapes (`column <op> literal` on primitive types, boolean combinators)
+/// take typed fast paths; everything else falls back to row-at-a-time
+/// evaluation. Batches evaluate only their own row window instead of the
+/// whole partition.
 pub fn eval_truths_range(
     expr: &Expr,
     part: &MicroPartition,
@@ -361,6 +354,7 @@ fn cmp_column_literal(
 }
 
 /// Indices of rows whose truth value qualifies (TRUE).
+// TEST-API: the oracle prop_kernel and prop_cache compare `select_range` against.
 pub fn selection_indices(truths: &[Truth]) -> Vec<usize> {
     truths
         .iter()
@@ -416,7 +410,7 @@ mod tests {
     fn three_valued_where() {
         let p = part();
         let e = col("x").gt(lit(2i64)).bind(&schema()).unwrap();
-        let t = eval_truths(&e, &p);
+        let t = eval_truths_range(&e, &p, 0, p.row_count());
         assert_eq!(
             t,
             vec![Truth::False, Truth::True, Truth::Unknown, Truth::True]
@@ -435,14 +429,14 @@ mod tests {
             .and(col("s").like("al%"))
             .bind(&schema())
             .unwrap();
-        let t = eval_truths(&e, &p);
+        let t = eval_truths_range(&e, &p, 0, p.row_count());
         assert_eq!(
             t,
             vec![Truth::False, Truth::Unknown, Truth::False, Truth::True]
         );
         // NOT of unknown is unknown; selection excludes it either way.
         let ne = e.not();
-        let nt = eval_truths(&ne, &p);
+        let nt = eval_truths_range(&ne, &p, 0, p.row_count());
         assert_eq!(
             nt,
             vec![Truth::True, Truth::Unknown, Truth::True, Truth::False]
@@ -456,7 +450,7 @@ mod tests {
             .ge(lit(10i64))
             .bind(&schema())
             .unwrap();
-        let fast = eval_truths(&e, &p);
+        let fast = eval_truths_range(&e, &p, 0, p.row_count());
         let slow: Vec<Truth> = (0..p.row_count())
             .map(|i| eval_predicate(&e, &p.row(i)))
             .collect();

@@ -2,9 +2,8 @@
 //! slices that refine a [`SelVec`] in place.
 //!
 //! This is the batch-at-a-time counterpart of
-//! [`eval_truths`](crate::eval_truths): instead of materializing a
-//! `Vec<Truth>`
-//! per row, a predicate is split into conjuncts
+//! [`eval_truths_range`](crate::eval_truths_range): instead of
+//! materializing a `Vec<Truth>` per row, a predicate is split into conjuncts
 //! ([`Expr::split_conjunction`]) and each conjunct *filters* the current
 //! selection. Eligible conjuncts (`column <op> literal` on primitive
 //! types, `column IS NULL`) run as monomorphized loops directly over the

@@ -1,7 +1,6 @@
 //! Expressions for `snowprune`: predicate/scalar ASTs, three-valued
 //! evaluation (scalar and vectorized), min/max range derivation through
-//! complex expressions, imprecise filter rewrites, pruning verdicts, and
-//! predicate inversion for fully-matching detection.
+//! complex expressions, imprecise filter rewrites, and pruning verdicts.
 //!
 //! The modules map directly onto §3.1 and §4.2 of the paper:
 //!
@@ -10,8 +9,6 @@
 //! * [`pruneval`] — metadata-only evaluation: [`pruneval::derive_range`]
 //!   and [`pruneval::prune_eval`].
 //! * [`rewrite`] — `LIKE`→prefix widening and constant folding.
-//! * [`invert`] — the two-pass inverted-predicate method for identifying
-//!   fully-matching partitions.
 //! * [`kernel`] — selection-vector predicate kernels for batch execution.
 
 #![forbid(unsafe_code)]
@@ -19,16 +16,13 @@
 
 pub mod ast;
 pub mod eval;
-pub mod invert;
 pub mod kernel;
 pub mod pruneval;
 pub mod rewrite;
 
 pub use ast::{dsl, ArithOp, CmpOp, ColumnRef, Expr};
 pub use eval::{
-    eval_predicate, eval_truths, eval_truths_range, eval_value, like_match, selection_indices,
-    Truth,
+    eval_predicate, eval_truths_range, eval_value, like_match, selection_indices, Truth,
 };
-pub use invert::{fully_matching_two_pass, invert_predicate};
 pub use pruneval::{derive_range, prune_eval};
 pub use rewrite::{analyze_like, fold_constants, prefix_successor, widen_for_pruning, LikeShape};

@@ -567,7 +567,7 @@ mod tests {
         assert!(prune_eval(&pred, &all_null).fully_matching());
         let none_null = vec![zm(Value::Int(1), Value::Int(2), 0, 5)];
         assert!(prune_eval(&pred, &none_null).prunable());
-        let not_null_pred = col("s").is_not_null().bind(&schema).unwrap();
+        let not_null_pred = col("s").is_null().not().bind(&schema).unwrap();
         assert!(prune_eval(&not_null_pred, &none_null).fully_matching());
         assert!(prune_eval(&not_null_pred, &all_null).prunable());
     }

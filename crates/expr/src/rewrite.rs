@@ -91,6 +91,7 @@ pub fn widen_for_pruning(expr: &Expr) -> Option<Expr> {
 /// Constant folding: collapse literal-only subtrees using the scalar
 /// evaluator. Sound because evaluation of a literal subtree is row
 /// independent.
+// TEST-API: prop_pruning pins its semantics; no planner pass calls it yet.
 pub fn fold_constants(expr: &Expr) -> Expr {
     fn is_literal_only(e: &Expr) -> bool {
         let mut ok = true;

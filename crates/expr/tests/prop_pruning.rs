@@ -15,10 +15,12 @@
 use proptest::prelude::*;
 
 use snowprune_expr::ast::{dsl, CmpOp, Expr};
-use snowprune_expr::{
-    derive_range, eval_predicate, eval_value, fully_matching_two_pass, prune_eval, Truth,
-};
+use snowprune_expr::{derive_range, eval_predicate, eval_value, prune_eval, Truth};
 use snowprune_types::{Value, ZoneMap};
+
+#[path = "support/invert.rs"]
+mod invert;
+use invert::fully_matching_two_pass;
 
 const COLS: [&str; 4] = ["a", "b", "s", "f"];
 

@@ -10,11 +10,14 @@
 //! Not every predicate shape is invertible; [`invert_predicate`] returns
 //! `None` for unsupported shapes, which surfaces in the paper's Table 2 as
 //! the "unsupported shapes" category.
+//!
+//! The engine detects fully-matching partitions in a single pass, from the
+//! `all_true` half of the verdict lattice (`prune_eval(..).classify`). This
+//! module keeps the paper's two-pass method as an independent cross-check
+//! for the pruning property tests.
 
+use snowprune_expr::{prune_eval, CmpOp, Expr};
 use snowprune_types::{Value, Verdict, ZoneMap};
-
-use crate::ast::{CmpOp, Expr};
-use crate::pruneval::prune_eval;
 
 /// Build the *failure predicate* of `p`: an expression that is TRUE exactly
 /// on the rows where `p` is FALSE or UNKNOWN. Returns `None` when `p` has a
@@ -192,8 +195,8 @@ pub fn fully_matching_two_pass(p: &Expr, meta: &[ZoneMap]) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::dsl::*;
-    use crate::eval::{eval_predicate, Truth};
+    use snowprune_expr::dsl::*;
+    use snowprune_expr::{eval_predicate, Truth};
     use snowprune_storage::{Field, Schema};
     use snowprune_types::ScalarType;
 
@@ -252,7 +255,7 @@ mod tests {
                 .lt(lit(50i64))
                 .or(col("species").eq(lit("Red Fox"))),
             col("s").is_null(),
-            col("s").is_not_null(),
+            col("s").is_null().not(),
             col("species").like("Alpine%").not(),
             col("s").in_list(vec![Value::Int(6), Value::Int(101)]),
             col("s").in_list(vec![Value::Int(6), Value::Null]),

@@ -12,6 +12,6 @@ pub use analyze::{
     detect_topk, fingerprint, limit_pushdown, predicate_column_names, shape_signature,
     FingerprintMode, LimitPushdown, TopKShape, TopKSpec,
 };
-pub use plan::{to_sql, AggFunc, JoinType, Plan, PlanBuilder, SortKey};
+pub use plan::{AggFunc, JoinType, Plan, PlanBuilder, SortKey};
 pub use pretty::pretty;
 pub use snowprune_types::ShapeKey;

@@ -463,134 +463,6 @@ impl fmt::Display for Plan {
     }
 }
 
-/// Render an approximate SQL text for the plan, used for the SQL-pattern
-/// classification behind Table 1 of the paper.
-pub fn to_sql(plan: &Plan) -> String {
-    struct Parts {
-        from: String,
-        joins: Vec<String>,
-        wheres: Vec<String>,
-        group_by: Vec<String>,
-        aggs: Vec<String>,
-        order_by: Vec<String>,
-        limit: Option<(u64, u64)>,
-        projection: Option<Vec<String>>,
-    }
-    fn collect(p: &Plan, parts: &mut Parts) {
-        match p {
-            Plan::Scan {
-                table, predicate, ..
-            } => {
-                parts.from = table.clone();
-                if let Some(e) = predicate {
-                    parts.wheres.push(e.to_string());
-                }
-            }
-            Plan::Filter { input, predicate } => {
-                parts.wheres.push(predicate.to_string());
-                collect(input, parts);
-            }
-            Plan::Project { input, columns } => {
-                if parts.projection.is_none() {
-                    parts.projection = Some(columns.clone());
-                }
-                collect(input, parts);
-            }
-            Plan::Join {
-                build,
-                probe,
-                build_key,
-                probe_key,
-                ..
-            } => {
-                collect(build, parts);
-                let probe_table = probe
-                    .scans()
-                    .first()
-                    .and_then(|s| match s {
-                        Plan::Scan { table, .. } => Some(table.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| "subquery".into());
-                parts
-                    .joins
-                    .push(format!("JOIN {probe_table} ON {build_key} = {probe_key}"));
-                if let Some(Plan::Scan {
-                    predicate: Some(e), ..
-                }) = probe.scans().first()
-                {
-                    parts.wheres.push(e.to_string());
-                }
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                parts.group_by = group_by.clone();
-                parts.aggs = aggs.iter().map(AggFunc::sql).collect();
-                collect(input, parts);
-            }
-            Plan::Sort { input, keys } => {
-                parts.order_by = keys
-                    .iter()
-                    .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
-                    .collect();
-                collect(input, parts);
-            }
-            Plan::Limit { input, k, offset } => {
-                parts.limit = Some((*k, *offset));
-                collect(input, parts);
-            }
-        }
-    }
-    let mut parts = Parts {
-        from: String::new(),
-        joins: Vec::new(),
-        wheres: Vec::new(),
-        group_by: Vec::new(),
-        aggs: Vec::new(),
-        order_by: Vec::new(),
-        limit: None,
-        projection: None,
-    };
-    collect(plan, &mut parts);
-    let select_list = if !parts.aggs.is_empty() {
-        let mut items = parts.group_by.clone();
-        items.extend(parts.aggs.clone());
-        items.join(", ")
-    } else {
-        parts
-            .projection
-            .map(|c| c.join(", "))
-            .unwrap_or_else(|| "*".into())
-    };
-    let mut sql = format!("SELECT {select_list} FROM {}", parts.from);
-    for j in &parts.joins {
-        sql.push(' ');
-        sql.push_str(j);
-    }
-    if !parts.wheres.is_empty() {
-        sql.push_str(" WHERE ");
-        sql.push_str(&parts.wheres.join(" AND "));
-    }
-    if !parts.group_by.is_empty() {
-        sql.push_str(" GROUP BY ");
-        sql.push_str(&parts.group_by.join(", "));
-    }
-    if !parts.order_by.is_empty() {
-        sql.push_str(" ORDER BY ");
-        sql.push_str(&parts.order_by.join(", "));
-    }
-    if let Some((k, offset)) = parts.limit {
-        sql.push_str(&format!(" LIMIT {k}"));
-        if offset > 0 {
-            sql.push_str(&format!(" OFFSET {offset}"));
-        }
-    }
-    sql
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,21 +528,6 @@ mod tests {
             )
             .build();
         assert!(p.check().is_err());
-    }
-
-    #[test]
-    fn sql_rendering_matches_paper_query() {
-        let p = PlanBuilder::scan("tracking_data", tracking())
-            .filter(col("num_sightings").ge(lit(50i64)))
-            .order_by("num_sightings", true)
-            .limit(3)
-            .build();
-        let sql = to_sql(&p);
-        assert_eq!(
-            sql,
-            "SELECT * FROM tracking_data WHERE (num_sightings >= 50) \
-             ORDER BY num_sightings DESC LIMIT 3"
-        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod token;
 
 pub use ast::Stmt;
 pub use bind::{bind_sql, Statement};
-pub use parse::{parse_script, parse_statement};
+pub use parse::parse_statement;
 pub use render::{render_diagnostics, render_error};
 pub use repl::{demo_catalog, run_repl, ReplOptions};
 pub use run::{SessionSqlExt, SqlOutcome};

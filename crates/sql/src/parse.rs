@@ -63,38 +63,6 @@ pub fn parse_statement(src: &str) -> Result<Stmt> {
     Ok(stmt)
 }
 
-/// Parse a `;`-separated script into statements (empty statements skipped).
-pub fn parse_script(src: &str) -> Result<Vec<Stmt>> {
-    let mut p = Parser {
-        src,
-        toks: lex(src)?,
-        pos: 0,
-    };
-    let mut out = Vec::new();
-    loop {
-        while p.peek().kind == TokenKind::Semi {
-            p.pos += 1;
-        }
-        if p.peek().kind == TokenKind::Eof {
-            return Ok(out);
-        }
-        out.push(p.statement()?);
-        let t = p.peek().clone();
-        match t.kind {
-            TokenKind::Semi | TokenKind::Eof => {}
-            _ => {
-                return Err(err(
-                    format!(
-                        "expected `;` between statements, found {}",
-                        t.kind.describe()
-                    ),
-                    t.span,
-                ))
-            }
-        }
-    }
-}
-
 impl<'a> Parser<'a> {
     fn peek(&self) -> &Token {
         &self.toks[self.pos.min(self.toks.len() - 1)]
@@ -919,12 +887,6 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         assert!(parse_statement("SELECT * FROM t; SELECT * FROM t").is_err());
-        assert_eq!(
-            parse_script("SELECT * FROM t; SELECT * FROM t;")
-                .unwrap()
-                .len(),
-            2
-        );
     }
 
     #[test]

@@ -25,14 +25,6 @@ impl Bitmap {
         Bitmap { words, len }
     }
 
-    /// A bitmap of `len` bits, all clear (all values null).
-    pub fn new_unset(len: usize) -> Self {
-        Bitmap {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -198,69 +190,9 @@ impl ColumnChunk {
         }
     }
 
-    // Typed batch readers: the vectorized predicate kernels and any other
-    // batch-at-a-time consumer read column windows straight off these
-    // slices (with `validity()` masking nulls) instead of materializing
-    // `Value`s row by row. Each returns `None` on a type mismatch.
-
-    /// The chunk's values as a `bool` slice, when it is a Bool column.
-    #[inline]
-    pub fn as_bools(&self) -> Option<&[bool]> {
-        match &self.values {
-            ColumnValues::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The chunk's values as an `i64` slice, when it is an Int column.
-    #[inline]
-    pub fn as_ints(&self) -> Option<&[i64]> {
-        match &self.values {
-            ColumnValues::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The chunk's values as an `f64` slice, when it is a Float column.
-    #[inline]
-    pub fn as_floats(&self) -> Option<&[f64]> {
-        match &self.values {
-            ColumnValues::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The chunk's values as a `String` slice, when it is a Str column.
-    #[inline]
-    pub fn as_strs(&self) -> Option<&[String]> {
-        match &self.values {
-            ColumnValues::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The chunk's values as a days-since-epoch slice, when it is a Date
-    /// column.
-    #[inline]
-    pub fn as_dates(&self) -> Option<&[i32]> {
-        match &self.values {
-            ColumnValues::Date(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The chunk's values as a microseconds-since-epoch slice, when it is
-    /// a Timestamp column.
-    #[inline]
-    pub fn as_timestamps(&self) -> Option<&[i64]> {
-        match &self.values {
-            ColumnValues::Timestamp(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Materialize row `i` as a [`Value`]. Prefer the typed accessors in hot
-    /// paths; this is for row-at-a-time consumers (joins, results).
+    /// Materialize row `i` as a [`Value`]. Hot paths match on
+    /// [`ColumnChunk::values`] instead; this is for row-at-a-time consumers
+    /// (joins, results).
     pub fn value_at(&self, i: usize) -> Value {
         if !self.is_valid(i) {
             return Value::Null;
@@ -385,7 +317,10 @@ mod tests {
 
     #[test]
     fn bitmap_roundtrip() {
-        let mut b = Bitmap::new_unset(130);
+        let mut b = Bitmap {
+            words: vec![0; 3],
+            len: 130,
+        };
         b.set(0, true);
         b.set(64, true);
         b.set(129, true);
@@ -444,19 +379,13 @@ mod tests {
         b.push(Value::Int(9));
         let chunk = b.finish();
         // Null slots stay in the slice as placeholders, masked by validity.
-        assert_eq!(chunk.as_ints(), Some(&[7, 0, 9][..]));
-        assert_eq!(chunk.as_floats(), None);
+        assert!(matches!(chunk.values(), ColumnValues::Int(v) if v[..] == [7, 0, 9]));
         assert!(chunk.is_valid(0) && !chunk.is_valid(1));
 
         let mut f = ColumnBuilder::new(ScalarType::Float);
         f.push(Value::Float(0.5));
         let chunk = f.finish();
-        assert_eq!(chunk.as_floats(), Some(&[0.5][..]));
-        assert_eq!(chunk.as_ints(), None);
-        assert_eq!(chunk.as_bools(), None);
-        assert_eq!(chunk.as_strs(), None);
-        assert_eq!(chunk.as_dates(), None);
-        assert_eq!(chunk.as_timestamps(), None);
+        assert!(matches!(chunk.values(), ColumnValues::Float(v) if v[..] == [0.5]));
     }
 
     #[test]

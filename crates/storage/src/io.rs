@@ -120,16 +120,9 @@ impl IoSnapshot {
         self.simulated_wall_ns += other.simulated_wall_ns;
     }
 
-    /// Load-stage I/O time in nanoseconds — `simulated_io_ns` without the
-    /// metadata-service share, recovered exactly from the lane identity
-    /// `wall = load_io + cpu - overlapped` (metadata reads are charged to
-    /// `simulated_io_ns` but are not lane time).
-    pub fn load_io_ns(&self) -> u64 {
-        (self.simulated_wall_ns + self.io_overlapped_ns).saturating_sub(self.simulated_cpu_ns)
-    }
-
     /// Load-stage I/O the prefetch pipeline failed to hide behind
-    /// evaluation (`load_io_ns - io_overlapped_ns`, i.e. `wall - cpu`).
+    /// evaluation: load-stage I/O minus `io_overlapped_ns`, which the lane
+    /// identity `wall = load_io + cpu - overlapped` makes `wall - cpu`.
     /// This is the feedback signal adaptive prefetch depth steers on: a
     /// large unhidden share means the lane is I/O-bound and a deeper
     /// window would help; zero means evaluation already covers every load.

@@ -176,15 +176,6 @@ impl LakeTable {
         }
     }
 
-    /// Whether every manifest entry and row group carries metadata.
-    pub fn metadata_complete(&self) -> bool {
-        self.manifest.iter().all(|m| m.zone_maps.is_some())
-            && self
-                .files
-                .iter()
-                .all(|f| f.row_groups.iter().all(|g| g.zone_maps.is_some()))
-    }
-
     /// Backfill missing metadata (§8.1: "Snowflake can reconstruct it by
     /// performing a full table scan"). Row-group stats come from scanning
     /// the data (charged as loads); manifest stats come from merging
@@ -322,6 +313,14 @@ mod tests {
     use crate::schema::Field;
     use snowprune_types::{ScalarType, Value, Verdict};
 
+    /// Whether every manifest entry and row group carries metadata.
+    fn metadata_complete(t: &LakeTable) -> bool {
+        t.manifest.iter().all(|m| m.zone_maps.is_some())
+            && t.files
+                .iter()
+                .all(|f| f.row_groups.iter().all(|g| g.zone_maps.is_some()))
+    }
+
     fn rows(n: i64) -> Vec<Vec<Value>> {
         (0..n).map(|i| vec![Value::Int(i)]).collect()
     }
@@ -383,10 +382,10 @@ mod tests {
     #[test]
     fn backfill_restores_pruning() {
         let mut t = lake(false, false, false);
-        assert!(!t.metadata_complete());
+        assert!(!metadata_complete(&t));
         let io = IoStats::new();
         t.backfill_metadata(&io, &IoCostModel::free());
-        assert!(t.metadata_complete());
+        assert!(metadata_complete(&t));
         assert!(io.snapshot().partitions_loaded > 0, "backfill scans data");
         let st = t.prune_hierarchical(&between(0, 9));
         assert_eq!(st.files_pruned, 3);
@@ -400,7 +399,7 @@ mod tests {
         let io = IoStats::new();
         t.backfill_metadata(&io, &IoCostModel::free());
         assert_eq!(io.snapshot().partitions_loaded, 0);
-        assert!(t.metadata_complete());
+        assert!(metadata_complete(&t));
     }
 
     #[test]

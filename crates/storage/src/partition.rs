@@ -45,6 +45,7 @@ pub struct MicroPartition {
 
 impl MicroPartition {
     /// Build a partition (and its zone maps) from column chunks.
+    // TEST-API: test fixture; the engine calls `from_chunks_with_prefix`.
     pub fn from_chunks(id: PartitionId, schema: &Schema, columns: Vec<ColumnChunk>) -> Self {
         Self::from_chunks_with_prefix(id, schema, columns, DEFAULT_STRING_PREFIX)
     }

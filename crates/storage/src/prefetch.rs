@@ -91,16 +91,6 @@ impl AsyncLake {
         }
     }
 
-    /// Number of submitted-but-unresolved loads.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// The evaluate-stage cursor (virtual ns since the lane started).
-    pub fn eval_clock_ns(&self) -> u64 {
-        self.eval_busy_until
-    }
-
     /// Submit an asynchronous load for `id`, whose metadata the caller has
     /// already read (`bytes` sizes the simulated GET — passing it in avoids
     /// a second metadata lookup on the hot path). Charges nothing yet; an
@@ -315,7 +305,7 @@ mod tests {
         let mut lake = AsyncLake::new(Arc::clone(&t), io.clone(), model());
         let ticket = submit(&mut lake, &t, 0);
         lake.complete(ticket).unwrap();
-        assert_eq!(lake.in_flight(), 0);
+        assert!(lake.inflight.is_empty());
         // An unknown id surfaces at completion, with nothing charged.
         let bogus = lake.submit_load(999, 64);
         assert!(lake.complete(bogus).is_err());

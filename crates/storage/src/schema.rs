@@ -22,12 +22,6 @@ impl Field {
             nullable: true,
         }
     }
-
-    /// Mark the field NOT NULL.
-    pub fn not_null(mut self) -> Self {
-        self.nullable = false;
-        self
-    }
 }
 
 /// An ordered list of fields.

@@ -81,34 +81,12 @@ impl ValueRange {
         }
     }
 
-    /// True if some value in the range could compare `Less` than `v`.
+    /// True if some value in the range could compare `<=` `v`.
     /// Conservative: incomparable types answer `true`.
-    pub fn possibly_lt(&self, v: &Value) -> bool {
-        match &self.lo {
-            None => true,
-            Some(lo) => match lo.sql_cmp(v) {
-                Some(Ordering::Less) => true,
-                Some(_) => false,
-                None => true,
-            },
-        }
-    }
-
     pub fn possibly_le(&self, v: &Value) -> bool {
         match &self.lo {
             None => true,
             Some(lo) => !matches!(lo.sql_cmp(v), Some(Ordering::Greater)),
-        }
-    }
-
-    pub fn possibly_gt(&self, v: &Value) -> bool {
-        match &self.hi {
-            None => true,
-            Some(hi) => match hi.sql_cmp(v) {
-                Some(Ordering::Greater) => true,
-                Some(_) => false,
-                None => true,
-            },
         }
     }
 
@@ -136,13 +114,6 @@ impl ValueRange {
         matches!(
             self.hi.as_ref().and_then(|hi| hi.sql_cmp(v)),
             Some(Ordering::Less | Ordering::Equal)
-        )
-    }
-
-    pub fn certainly_gt(&self, v: &Value) -> bool {
-        matches!(
-            self.lo.as_ref().and_then(|lo| lo.sql_cmp(v)),
-            Some(Ordering::Greater)
         )
     }
 
@@ -625,11 +596,11 @@ mod tests {
         assert!((lo - 284.68).abs() < 0.01, "lo = {lo}");
         assert!((hi - 2339.04).abs() < 0.01, "hi = {hi}");
         // The comparison `> 1500` partially overlaps -> possibly true.
-        assert!(scaled.possibly_gt(&Value::Int(1500)));
-        assert!(!scaled.certainly_gt(&Value::Int(1500)));
+        assert!(!scaled.certainly_le(&Value::Int(1500)));
+        assert!(scaled.possibly_le(&Value::Int(1500)));
         // The IF(...) union with the raw range extends to [284.68.., 7674].
         let unioned = scaled.union(&int_range(934, 7674));
-        assert!(unioned.possibly_gt(&Value::Int(1500)));
+        assert!(!unioned.certainly_le(&Value::Int(1500)));
         assert_eq!(unioned.hi, Some(Value::Int(7674)));
     }
 
@@ -686,8 +657,8 @@ mod tests {
             may_null: false,
             all_null: false,
         };
-        assert!(r.possibly_gt(&Value::Int(5)));
-        assert!(!r.certainly_gt(&Value::Int(5)));
+        assert!(!r.certainly_le(&Value::Int(5)));
+        assert!(r.possibly_le(&Value::Int(5)));
     }
 
     #[test]

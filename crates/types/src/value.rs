@@ -126,13 +126,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Approximate in-memory size in bytes, used by the storage layer for
     /// partition sizing and by join summaries for their byte budget.
     pub fn approx_size(&self) -> usize {

@@ -68,16 +68,6 @@ impl Verdict {
         all_false: false,
     };
 
-    /// Build from exact knowledge of which truth values occur.
-    pub fn from_exact(has_true: bool, has_false: bool, has_unknown: bool) -> Verdict {
-        Verdict {
-            may_true: has_true,
-            all_true: has_true && !has_false && !has_unknown,
-            may_false: has_false,
-            all_false: has_false && !has_true && !has_unknown,
-        }
-    }
-
     /// Kleene AND over per-row truth values.
     pub fn and(self, other: Verdict) -> Verdict {
         Verdict {
@@ -205,23 +195,5 @@ mod tests {
             Verdict::ALWAYS_UNKNOWN.classify(10),
             MatchClass::NotMatching
         );
-    }
-
-    #[test]
-    fn from_exact_matrix() {
-        assert_eq!(
-            Verdict::from_exact(true, false, false),
-            Verdict::ALWAYS_TRUE
-        );
-        assert_eq!(
-            Verdict::from_exact(false, true, false),
-            Verdict::ALWAYS_FALSE
-        );
-        assert_eq!(
-            Verdict::from_exact(false, false, true),
-            Verdict::ALWAYS_UNKNOWN
-        );
-        let mixed = Verdict::from_exact(true, true, false);
-        assert!(mixed.may_true && mixed.may_false && !mixed.all_true && !mixed.all_false);
     }
 }

@@ -50,6 +50,7 @@ pub enum Check {
 /// Build the seeded random `fact`/`dim` workload: shuffled column order,
 /// an optional pad column, random partition count/size/layout, `a` unique
 /// (the deterministic ORDER BY key), `b` nullable, `c` categorical.
+// TEST-API: corpus generator of tests/differential.rs and prop_analyze.
 pub fn build_workload(seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     // Random schema: core columns in shuffled order plus an optional pad
@@ -148,6 +149,7 @@ pub fn random_predicate(rng: &mut StdRng, fact_rows: usize) -> Expr {
 /// The six-arm random query mix of the core differential legs: filtered
 /// select, projected scan, top-k on the unique key, top-k above GROUP BY
 /// (Figure 7d), dim⋈fact join, and LIMIT-with-predicate.
+// TEST-API: corpus generator of tests/differential.rs and prop_analyze.
 pub fn random_queries(rng: &mut StdRng, wl: &Workload) -> Vec<(Plan, Check)> {
     let fs = &wl.fact_schema;
     let mut out = Vec::new();
@@ -225,6 +227,7 @@ pub fn random_queries(rng: &mut StdRng, wl: &Workload) -> Vec<(Plan, Check)> {
 /// The §8.2 cacheable-shape mix of the predicate-cache differential leg:
 /// filtered chains (bare and projected), an optionally-filtered top-k,
 /// and an unfiltered top-k.
+// TEST-API: corpus generator of tests/differential.rs and prop_analyze.
 pub fn cacheable_queries(rng: &mut StdRng, wl: &Workload) -> Vec<(Plan, Check)> {
     let fs = &wl.fact_schema;
     let mut out = Vec::new();
@@ -266,6 +269,7 @@ pub fn cacheable_queries(rng: &mut StdRng, wl: &Workload) -> Vec<(Plan, Check)> 
 /// and outer-preserve-build joins, top-k over a join (Figure 7b), a
 /// filtered GROUP BY chain with every aggregate function, and GROUP BY
 /// over a join.
+// TEST-API: corpus generator of tests/differential.rs and prop_analyze.
 pub fn joinagg_queries(rng: &mut StdRng, wl: &Workload) -> Vec<(Plan, Check)> {
     let fs = &wl.fact_schema;
     let ds = &wl.dim_schema;

@@ -4,13 +4,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-pub mod classify;
 pub mod diffgen;
 pub mod kdist;
 pub mod production;
 pub mod tpch;
 
-pub use classify::{classify_sql, classify_workload, SqlClass};
 pub use diffgen::emit_sql;
 pub use kdist::{cdf_at, sample_k};
 pub use production::{

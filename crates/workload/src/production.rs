@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use snowprune_expr::dsl::{col, lit};
 use snowprune_expr::Expr;
-use snowprune_plan::{to_sql, AggFunc, JoinType, Plan, PlanBuilder};
+use snowprune_plan::{AggFunc, JoinType, Plan, PlanBuilder};
 use snowprune_storage::{Catalog, Field, Layout, Schema, TableBuilder};
 use snowprune_types::{ScalarType, Value};
 
@@ -39,8 +39,6 @@ pub enum QueryKind {
 pub struct GeneratedQuery {
     /// The logical plan to execute.
     pub plan: Plan,
-    /// SQL rendering of the plan (for logs and corpus dumps).
-    pub sql: String,
     /// Which generator arm produced it.
     pub kind: QueryKind,
 }
@@ -154,7 +152,7 @@ pub fn generate(cfg: &WorkloadConfig, seed: u64) -> ProductionWorkload {
     let mut queries = Vec::with_capacity(cfg.queries);
     for _ in 0..cfg.queries {
         let kind = sample_kind(&mut rng);
-        let q = match kind {
+        queries.push(match kind {
             QueryKind::FilteredSelect => gen_filtered_select(&mut rng, max_ts),
             QueryKind::FullScan => gen_full_scan(&mut rng),
             QueryKind::LimitNoPredicate => gen_limit(&mut rng, max_ts, false),
@@ -163,9 +161,7 @@ pub fn generate(cfg: &WorkloadConfig, seed: u64) -> ProductionWorkload {
             QueryKind::TopKGroupByKey => gen_topk_group_key(&mut rng),
             QueryKind::TopKGroupByAgg => gen_topk_group_agg(&mut rng),
             QueryKind::Join => gen_join(&mut rng, max_ts),
-        };
-        let sql = to_sql(&q.plan);
-        queries.push(GeneratedQuery { sql, ..q });
+        });
     }
     ProductionWorkload { catalog, queries }
 }
@@ -242,7 +238,6 @@ fn gen_filtered_select(rng: &mut StdRng, max_ts: i64) -> GeneratedQuery {
         .build();
     GeneratedQuery {
         plan,
-        sql: String::new(),
         kind: QueryKind::FilteredSelect,
     }
 }
@@ -254,7 +249,6 @@ fn gen_full_scan(rng: &mut StdRng) -> GeneratedQuery {
         .build();
     GeneratedQuery {
         plan,
-        sql: String::new(),
         kind: QueryKind::FullScan,
     }
 }
@@ -268,7 +262,6 @@ fn gen_limit(rng: &mut StdRng, max_ts: i64, with_predicate: bool) -> GeneratedQu
     let k = sample_k(rng, true);
     GeneratedQuery {
         plan: b.limit(k).build(),
-        sql: String::new(),
         kind: if with_predicate {
             QueryKind::LimitWithPredicate
         } else {
@@ -294,7 +287,6 @@ fn gen_topk(rng: &mut StdRng, max_ts: i64) -> GeneratedQuery {
             .order_by(order_col, rng.random::<f64>() < 0.8)
             .limit(k)
             .build(),
-        sql: String::new(),
         kind: QueryKind::TopK,
     }
 }
@@ -308,7 +300,6 @@ fn gen_topk_group_key(rng: &mut StdRng) -> GeneratedQuery {
         .build();
     GeneratedQuery {
         plan,
-        sql: String::new(),
         kind: QueryKind::TopKGroupByKey,
     }
 }
@@ -322,7 +313,6 @@ fn gen_topk_group_agg(rng: &mut StdRng) -> GeneratedQuery {
         .build();
     GeneratedQuery {
         plan,
-        sql: String::new(),
         kind: QueryKind::TopKGroupByAgg,
     }
 }
@@ -362,7 +352,6 @@ fn gen_join(rng: &mut StdRng, max_ts: i64) -> GeneratedQuery {
     let plan = dim.join(probe, "id", "user_id", JoinType::Inner).build();
     GeneratedQuery {
         plan,
-        sql: String::new(),
         kind: QueryKind::Join,
     }
 }
@@ -386,10 +375,8 @@ pub fn io_bound_burst(cfg: &WorkloadConfig, seed: u64) -> ProductionWorkload {
             let plan = PlanBuilder::scan("events_clustered", events_schema())
                 .filter(col("ts").between(lit(lo), lit(lo + width)))
                 .build();
-            let sql = to_sql(&plan);
             GeneratedQuery {
                 plan,
-                sql,
                 kind: QueryKind::FilteredSelect,
             }
         })
@@ -415,10 +402,8 @@ pub fn topk_tighten_burst(cfg: &WorkloadConfig, seed: u64) -> ProductionWorkload
                 .order_by("ts", false)
                 .limit(k)
                 .build();
-            let sql = to_sql(&plan);
             GeneratedQuery {
                 plan,
-                sql,
                 kind: QueryKind::TopK,
             }
         })
@@ -558,13 +543,12 @@ pub fn production_scale(cfg: &ProductionScaleConfig, seed: u64) -> ProductionSca
                     )
                     .build()
             };
-            let sql = to_sql(&plan);
             let kind = if r < 0.90 {
                 QueryKind::FilteredSelect
             } else {
                 QueryKind::Join
             };
-            (tenant, GeneratedQuery { plan, sql, kind })
+            (tenant, GeneratedQuery { plan, kind })
         })
         .collect();
     ProductionScaleWorkload { catalog, arrivals }
@@ -639,7 +623,6 @@ mod tests {
         assert_eq!(wl.queries.len(), 120);
         for q in &wl.queries {
             q.plan.check().unwrap();
-            assert!(!q.sql.is_empty());
         }
         assert_eq!(wl.catalog.table_names().len(), 5);
     }

@@ -21,6 +21,9 @@
 //! 6. **No clock in engine decisions** — `Instant` and `SystemTime` are
 //!    denied in non-test code under `crates/`; a clock read whose value is
 //!    only reported carries a `// CLOCK-OK: <reason>` waiver.
+//! 7. **No product function that only a test reads** — every `pub fn` in
+//!    `crates/*/src` needs a caller in non-test code; an API kept for the
+//!    test suites carries a `// TEST-API: <reason>` waiver.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -50,6 +53,7 @@ fn lint() -> ExitCode {
     lint_crate_attributes(&root, &mut violations);
     lint_no_linear_id_search(&root, &mut violations);
     lint_no_clock(&root, &mut violations);
+    lint_pub_fn_callers(&root, &mut violations);
     if violations.is_empty() {
         println!("xtask lint: ok");
         ExitCode::SUCCESS
@@ -533,6 +537,105 @@ fn has_ident(code: &str, name: &str) -> bool {
     })
 }
 
+/// Lint 7: every `pub fn` in `crates/*/src` has a caller outside test
+/// code. Callers are read from the product trees and from `benchmark/src`
+/// (which is read, not linted); `tests/` directories do not count.
+fn lint_pub_fn_callers(root: &Path, violations: &mut Vec<String>) {
+    let mut linted = Vec::new();
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for entry in entries.flatten() {
+            if entry.file_name() != "compat" {
+                linted.extend(rust_files(&entry.path().join("src")));
+            }
+        }
+    }
+    linted.sort();
+    let mut sources: Vec<(String, String, bool)> = linted
+        .iter()
+        .map(|f| (rel(root, f), read(f), true))
+        .collect();
+    for d in ["src", "examples", "xtask/src", "benchmark/src"] {
+        for f in rust_files(&root.join(d)) {
+            sources.push((rel(root, &f), read(&f), false));
+        }
+    }
+    let files: Vec<(&str, &str, bool)> = sources
+        .iter()
+        .map(|(p, src, lint)| (p.as_str(), src.as_str(), *lint))
+        .collect();
+    uncalled_pub_fns(&files, violations);
+}
+
+/// Lint 7 over `(path, source, linted)` triples: one pass builds an
+/// identifier → occurrence count over every non-test, non-`use` line (a
+/// definition's own name excluded), then each `pub fn` of a linted file
+/// with a count of zero and no `TEST-API:` waiver is reported.
+fn uncalled_pub_fns(files: &[(&str, &str, bool)], violations: &mut Vec<String>) {
+    let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    let mut defs = Vec::new();
+    for &(p, src, linted) in files {
+        let mask = test_region_mask(src);
+        let lines: Vec<&str> = src.lines().collect();
+        let mut in_use = false;
+        for (i, line) in lines.iter().enumerate() {
+            if mask.get(i).copied().unwrap_or(false) {
+                continue;
+            }
+            let code = strip_comment(line);
+            // A `use` declaration names an item without calling it.
+            let t = code.trim_start();
+            if in_use || t.starts_with("use ") || t.starts_with("pub use ") {
+                in_use = !code.contains(';');
+                continue;
+            }
+            let def = pub_fn_name(code);
+            let mut skip = def;
+            for ident in idents(code) {
+                if skip == Some(ident) {
+                    skip = None;
+                    continue;
+                }
+                *counts.entry(ident).or_insert(0) += 1;
+            }
+            if let (Some(name), true) = (def, linted) {
+                if !waived(&lines, i, "TEST-API:") {
+                    defs.push((p, i, name));
+                }
+            }
+        }
+    }
+    for (p, i, name) in defs {
+        if counts.get(name).copied().unwrap_or(0) == 0 {
+            violations.push(format!(
+                "{}:{}: `pub fn {}` has no caller outside test code; delete it (or add \
+                 `// TEST-API: <reason>` if the test suites need it)",
+                p,
+                i + 1,
+                name
+            ));
+        }
+    }
+}
+
+/// The name defined by a `pub fn` line (`pub(crate)` and other restricted
+/// visibilities are out of scope).
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = rest.strip_prefix("fn ")?;
+    idents(rest).next()
+}
+
+/// The identifiers on a line of code, in order.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| {
+            w.chars()
+                .next()
+                .is_some_and(|c| c.is_alphabetic() || c == '_')
+        })
+}
+
 /// Every `.rs` file in the workspace's own source trees (crates, the root
 /// facade, examples, integration tests, xtask).
 fn workspace_sources(root: &Path) -> Vec<PathBuf> {
@@ -664,6 +767,44 @@ mod tests {
     }
 
     #[test]
+    fn pub_fn_rule_flags_only_the_uncalled_unwaived_function() {
+        let lib = "pub fn called() {}\n\
+                   pub fn uncalled() {}\n\
+                   // TEST-API: the suites need it\n\
+                   pub fn waived() {}\n\
+                   pub(crate) fn restricted() {}\n\
+                   pub use self::reexported as alias;\n\
+                   pub fn reexported() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    fn t() { super::uncalled(); }\n}\n";
+        let user = "fn main() {\n    // uncalled() in a comment is no call\n    a::called();\n}\n";
+        let mut v = Vec::new();
+        uncalled_pub_fns(
+            &[
+                ("crates/a/src/lib.rs", lib, true),
+                ("benchmark/src/main.rs", user, false),
+            ],
+            &mut v,
+        );
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(
+            v[0].starts_with("crates/a/src/lib.rs:2: `pub fn uncalled`"),
+            "{v:?}"
+        );
+        assert!(
+            v[1].starts_with("crates/a/src/lib.rs:7: `pub fn reexported`"),
+            "{v:?}"
+        );
+        // A read-only tree (the benchmark) is not linted itself.
+        let mut v = Vec::new();
+        uncalled_pub_fns(
+            &[("benchmark/src/lib.rs", "pub fn helper() {}\n", false)],
+            &mut v,
+        );
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
     fn full_lint_run_on_this_repo_is_clean() {
         let root = repo_root();
         if !root.join("Cargo.toml").is_file() {
@@ -677,6 +818,7 @@ mod tests {
         lint_crate_attributes(&root, &mut violations);
         lint_no_linear_id_search(&root, &mut violations);
         lint_no_clock(&root, &mut violations);
+        lint_pub_fn_callers(&root, &mut violations);
         let mut msg = String::new();
         for v in &violations {
             let _ = writeln!(msg, "{v}");
