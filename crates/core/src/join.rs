@@ -69,15 +69,15 @@ impl JoinSummary {
             .filter(|v| !v.is_null())
             .cloned()
             .collect();
-        if keys.is_empty() {
-            return JoinSummary::Empty;
-        }
         keys.sort_by(|a, b| a.total_ord_cmp(b));
         keys.dedup();
+        let (Some(min), Some(max)) = (keys.first(), keys.last()) else {
+            return JoinSummary::Empty;
+        };
         match kind {
             SummaryKind::MinMax => JoinSummary::MinMax {
-                min: keys.first().unwrap().clone(),
-                max: keys.last().unwrap().clone(),
+                min: min.clone(),
+                max: max.clone(),
             },
             SummaryKind::Exact => JoinSummary::Exact(keys),
             SummaryKind::RangeSet { budget } => {

@@ -231,32 +231,39 @@ impl<T> TopKHeap<T> {
             seq: self.seq,
             payload,
         };
+        // The root is the current k-th best row once the heap holds k.
         if self.desc {
-            if self.desc_heap.len() < self.k {
-                self.desc_heap.push(std::cmp::Reverse(entry));
-            } else {
-                let min = &self.desc_heap.peek().unwrap().0;
-                if entry.key > min.key {
-                    self.desc_heap.pop();
-                    self.desc_heap.push(std::cmp::Reverse(entry));
+            match self.desc_heap.peek() {
+                Some(std::cmp::Reverse(min)) if self.desc_heap.len() >= self.k => {
+                    if entry.key > min.key {
+                        self.desc_heap.pop();
+                        self.desc_heap.push(std::cmp::Reverse(entry));
+                    }
                 }
+                _ => self.desc_heap.push(std::cmp::Reverse(entry)),
             }
-            if self.desc_heap.len() >= self.k {
-                let min = &self.desc_heap.peek().unwrap().0;
+            if let Some(std::cmp::Reverse(min)) = self
+                .desc_heap
+                .peek()
+                .filter(|_| self.desc_heap.len() >= self.k)
+            {
                 self.boundary.tighten_inclusive(&min.key.0.clone());
             }
         } else {
-            if self.asc_heap.len() < self.k {
-                self.asc_heap.push(entry);
-            } else {
-                let max = self.asc_heap.peek().unwrap();
-                if entry.key < max.key {
-                    self.asc_heap.pop();
-                    self.asc_heap.push(entry);
+            match self.asc_heap.peek() {
+                Some(max) if self.asc_heap.len() >= self.k => {
+                    if entry.key < max.key {
+                        self.asc_heap.pop();
+                        self.asc_heap.push(entry);
+                    }
                 }
+                _ => self.asc_heap.push(entry),
             }
-            if self.asc_heap.len() >= self.k {
-                let max = self.asc_heap.peek().unwrap();
+            if let Some(max) = self
+                .asc_heap
+                .peek()
+                .filter(|_| self.asc_heap.len() >= self.k)
+            {
                 self.boundary.tighten_inclusive(&max.key.0.clone());
             }
         }

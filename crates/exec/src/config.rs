@@ -93,9 +93,9 @@ pub struct ExecConfig {
     /// consume column-major [`crate::vector::Batch`]es directly (late
     /// materialization, per-batch partition provenance) instead of
     /// dropping to row-at-a-time sinks at the first join or aggregate.
-    /// On by default; the differential suite turns it off to obtain the
-    /// row-fallback oracle, and the `joinagg` bench experiment compares
-    /// both settings. Results are bit-identical either way.
+    /// On by default; the `joinagg_batch_matches_row_oracle` differential
+    /// leg turns it off to obtain the row-fallback oracle. Results are
+    /// bit-identical either way.
     pub batch_native: bool,
     /// Run the static plan verifier (`snowprune-analyze`) at admission:
     /// before morsel generation, every plan is schema-resolved and

@@ -444,37 +444,16 @@ impl Executor {
 
     fn exec_node(&self, plan: &Plan, st: &mut RunState) -> Result<RowSet> {
         match plan {
-            Plan::Scan {
-                table, predicate, ..
-            } => self.exec_scan(table, predicate.as_ref(), st),
-            Plan::Filter { input, predicate } => {
-                let input_rows = self.exec_node(input, st)?;
-                let bound = predicate.bind(&input_rows.schema)?;
-                let rows = input_rows
-                    .rows
-                    .into_iter()
-                    .filter(|r| snowprune_expr::eval_predicate(&bound, r).qualifies())
-                    .collect();
+            Plan::Scan { .. } | Plan::Filter { .. } | Plan::Project { .. } | Plan::Join { .. } => {
+                let mut rows = Vec::new();
+                self.stream(plan, StreamOpts::ordered(None), st, &mut |r, _| {
+                    rows.push(r)
+                })?;
                 Ok(RowSet {
-                    schema: input_rows.schema,
+                    schema: plan.schema()?,
                     rows,
                 })
             }
-            Plan::Project { input, columns } => {
-                let input_rows = self.exec_node(input, st)?;
-                let idxs: Vec<usize> = columns
-                    .iter()
-                    .map(|c| input_rows.schema.index_of(c))
-                    .collect::<Result<_>>()?;
-                let schema = plan.schema()?;
-                let rows = input_rows
-                    .rows
-                    .into_iter()
-                    .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                    .collect();
-                Ok(RowSet { schema, rows })
-            }
-            Plan::Join { .. } => self.exec_join(plan, st, None),
             Plan::Aggregate {
                 input,
                 group_by,
@@ -535,56 +514,22 @@ impl Executor {
                 LimitPushdown::NotALimitQuery => {}
             }
         }
-        // Execute with early termination where the chain allows streaming.
-        let rows = if let Some(streamed) = self.try_stream_limited(input, need, st)? {
-            streamed
-        } else {
-            self.exec_node(input, st)?
-        };
-        let mut out = rows.rows;
-        out.truncate(need);
-        let final_rows = out.into_iter().skip(offset as usize).collect();
+        // Early termination where the input streams ("most systems halt
+        // query processing when the LIMIT has been reached"). Pooled
+        // morsels race to fill the limit — pre-assigned partitions still
+        // model the §4.4 catch — but [`Delivery::Ordered`] stops on the
+        // deterministic prefix, so the truncated result is byte-identical
+        // to the sequential scan; only the I/O overshoot varies.
+        let mut rows = Vec::with_capacity(need.min(4096));
+        self.stream(input, StreamOpts::ordered(Some(need)), st, &mut |r, _| {
+            rows.push(r)
+        })?;
+        rows.truncate(need);
         st.limit_override = None;
         Ok(RowSet {
-            schema: rows.schema,
-            rows: final_rows,
+            schema: input.schema()?,
+            rows: rows.into_iter().skip(offset as usize).collect(),
         })
-    }
-
-    /// Stream a Filter*/Project* chain over a scan, stopping once `need`
-    /// rows are produced ("most systems halt query processing when the
-    /// LIMIT has been reached"). Returns `None` for non-streamable plans.
-    ///
-    /// Pooled morsels race to fill the limit — pre-assigned partitions
-    /// still model the §4.4 catch (n workers read at least n partitions
-    /// even if 1 would do) — but [`Delivery::Ordered`] reassembles rows in
-    /// morsel order and stops on the deterministic prefix, so the
-    /// truncated result is byte-identical to the sequential scan no matter
-    /// how morsels interleave; only the I/O overshoot is timing-dependent,
-    /// exactly as in a real warehouse.
-    fn try_stream_limited(
-        &self,
-        plan: &Plan,
-        need: usize,
-        st: &mut RunState,
-    ) -> Result<Option<RowSet>> {
-        let Some(cs) = self.prepare_chain(plan, None, None, st)? else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(need.min(4096));
-        self.drive_scan(
-            &cs.scan,
-            st,
-            None,
-            Delivery::Ordered { need: Some(need) },
-            rows_map(cs.chain, cs.survivors),
-            |(_, chunk)| out.extend(chunk),
-        );
-        out.truncate(need);
-        Ok(Some(RowSet {
-            schema: plan.schema()?,
-            rows: out,
-        }))
     }
 
     // ---- scans ----------------------------------------------------------
@@ -684,28 +629,6 @@ impl Executor {
         scan.predicate
             .as_ref()
             .map(|p| FilterPruner::new(p, self.cfg.filter.clone()))
-    }
-
-    fn exec_scan(
-        &self,
-        table: &str,
-        predicate: Option<&snowprune_expr::Expr>,
-        st: &mut RunState,
-    ) -> Result<RowSet> {
-        let (scan, survivors) = self.prepare_scan(table, predicate, st)?;
-        let mut rows = Vec::new();
-        self.drive_scan(
-            &scan,
-            st,
-            None,
-            Delivery::Ordered { need: None },
-            rows_map(BatchChain::identity(scan.schema.len()), survivors),
-            |(_, mut chunk)| rows.append(&mut chunk),
-        );
-        Ok(RowSet {
-            schema: scan.schema,
-            rows,
-        })
     }
 
     /// The one scan driver: run `scan` partition-by-partition through the
@@ -855,14 +778,16 @@ impl Executor {
 
     // ---- joins ----------------------------------------------------------
 
-    /// Execute a join. When `spine` is set, the given side streams through
-    /// `spine`'s sink instead of materializing (top-k pipelines).
+    /// Execute a join, pushing the joined rows into `sink`. With `topk`,
+    /// the side the top-k spine runs through streams into `sink` instead
+    /// of materializing, so boundary updates apply mid-stream.
     fn exec_join(
         &self,
         plan: &Plan,
+        topk: Option<(&TopKSpec, &Arc<Boundary>)>,
         st: &mut RunState,
-        spine: Option<&mut SpineSink<'_>>,
-    ) -> Result<RowSet> {
+        sink: RowSink<'_>,
+    ) -> Result<()> {
         let Plan::Join {
             build,
             probe,
@@ -873,34 +798,16 @@ impl Executor {
         else {
             return Err(Error::Invalid("exec_join on non-join".into()));
         };
-        let out_schema = plan.schema()?;
-        // Where joined rows go: materialized output, or straight into the
-        // top-k spine sink so boundary updates apply mid-stream.
-        let mut out: Vec<Vec<Value>> = Vec::new();
-        let spine_hook = spine.as_ref().map(|s| (s.spec, Arc::clone(s.boundary)));
         match join_type {
             JoinType::Inner => {
-                // Build side: batch-native bulk load when the side is a
-                // chain over a scan, row-at-a-time fallback otherwise (or
-                // when `batch_native` is off). Either way the same rows
+                // Build side: however `join_side` loads it, the same rows
                 // arrive in the same order, so the §6 summary and Bloom
                 // filter see identical key sequences.
-                let jb = match self.try_batch_join_side(build, build_key, None, st)? {
-                    Some(jb) => jb,
-                    None => {
-                        let build_rows = self.exec_node(build, st)?;
-                        let bk = build_rows.schema.index_of(build_key)?;
-                        let mut jb = JoinBuild::new();
-                        for row in build_rows.rows {
-                            let key = row[bk].clone();
-                            jb.push_row(row, key);
-                        }
-                        jb
-                    }
-                };
+                let jb = self.join_side(build, build_key, None, st)?;
                 let summary = JoinSummary::build(jb.keys().iter(), self.cfg.join_summary);
                 st.report.join_summary_bytes += summary.serialized_bytes() as u64;
-                let mut bloom = self.cfg.join_bloom.then(|| {
+                // No Bloom filter when nothing can match anyway.
+                let bloom = (self.cfg.join_bloom && !jb.no_matches_possible()).then(|| {
                     let mut bf = BloomFilter::with_capacity(jb.rows().len());
                     for key in jb.keys() {
                         if !key.is_null() {
@@ -909,108 +816,91 @@ impl Executor {
                     }
                     bf
                 });
-                if bloom.is_some() && jb.no_matches_possible() {
-                    bloom = None; // nothing to probe anyway
-                }
                 let mut bloom_skips = 0u64;
                 let join_hook = self
                     .cfg
                     .enable_join_pruning
                     .then_some((&summary, probe_key.as_str()));
-                let topk_hook = spine_hook.as_ref().map(|(spec, b)| (*spec, b));
-                {
-                    let mut mat_sink = |r: Vec<Value>, _: Option<PartitionId>| out.push(r);
-                    let row_sink: RowSink<'_> = match spine {
-                        Some(sp) => &mut *sp.f,
-                        None => &mut mat_sink,
-                    };
-                    // Probe side. Joined rows carry the probe row's source
-                    // partition — the spine side of a top-k-over-join — so
-                    // §8.2 provenance survives the join (it used to be
-                    // dropped here, which silently disqualified every join
-                    // shape from cache admission).
-                    let batch_probe = if self.cfg.batch_native {
-                        self.prepare_chain(probe, join_hook, topk_hook, st)?
-                    } else {
-                        None
-                    };
-                    match batch_probe {
-                        Some(cs) => {
-                            // Batch-native probe: workers refine each batch
-                            // through the pre-join chain; rows stay
-                            // column-major through the hash lookup and
-                            // materialize only on a match (late
-                            // materialization).
-                            let key_col = cs.chain.column_of(probe.schema()?.index_of(probe_key)?);
-                            self.drive_scan(
-                                &cs.scan,
-                                st,
-                                topk_hook.and_then(|(_, b)| cs.order_col.map(|c| (b, c))),
-                                Delivery::Arrival,
-                                batch_map(cs.chain.clone(), cs.survivors),
-                                |batch| {
-                                    let pid = batch.part.meta.id;
-                                    bloom_skips += jb.probe_batch(
-                                        &batch,
-                                        key_col,
-                                        bloom.as_ref(),
-                                        |i, matches| {
-                                            let probe_row = cs.chain.materialize(&batch.part, i);
-                                            for &bi in matches {
-                                                let mut row = jb.rows()[bi].clone();
-                                                row.extend(probe_row.iter().cloned());
-                                                row_sink(row, Some(pid));
-                                            }
-                                        },
-                                    );
-                                },
-                            );
-                        }
-                        None => {
-                            let probe_schema = probe.schema()?;
-                            let pk = probe_schema.index_of(probe_key)?;
-                            let mut emit = |probe_row: Vec<Value>, pid: Option<PartitionId>| {
-                                let pk_val = &probe_row[pk];
-                                if pk_val.is_null() {
-                                    return;
-                                }
-                                if let Some(bf) = &bloom {
-                                    if !bf.might_contain(pk_val) {
-                                        bloom_skips += 1;
-                                        return;
-                                    }
-                                }
-                                if let Some(matches) = jb.matches(pk_val) {
-                                    for &bi in matches {
-                                        let mut row = jb.rows()[bi].clone();
-                                        row.extend(probe_row.iter().cloned());
-                                        row_sink(row, pid);
-                                    }
-                                }
-                            };
-                            self.stream_side(probe, join_hook, topk_hook, st, &mut emit)?;
-                        }
+                // The top-k hook reaches the probe only when the probe is a
+                // chain over a scan, so top-k through a nested join stays
+                // unpruned: its rows reach the heap without provenance, and
+                // lifting this needs a warm-replay check for nested joins.
+                let topk = topk.filter(|_| split_chain(probe).is_some());
+                // Probe side. Joined rows carry the probe row's source
+                // partition when the probe is the hooked top-k target, so
+                // §8.2 provenance survives the join.
+                let mut join_rows = |probe_row: &[Value], matches: &[usize], pid| {
+                    for &bi in matches {
+                        let mut row = jb.rows()[bi].clone();
+                        row.extend_from_slice(probe_row);
+                        sink(row, pid);
+                    }
+                };
+                let batch_probe = if self.cfg.batch_native {
+                    self.prepare_chain(probe, join_hook, topk, st)?
+                } else {
+                    None
+                };
+                match batch_probe {
+                    Some(cs) => {
+                        // Batch-native probe: workers refine each batch
+                        // through the pre-join chain; rows stay column-major
+                        // through the hash lookup and materialize only on a
+                        // match (late materialization).
+                        let key_col = cs.chain.column_of(probe.schema()?.index_of(probe_key)?);
+                        let hook = topk.and_then(|(_, b)| cs.order_col.map(|c| (b, c)));
+                        self.drive_scan(
+                            &cs.scan,
+                            st,
+                            hook,
+                            Delivery::Arrival,
+                            batch_map(cs.chain.clone(), cs.survivors),
+                            |batch| {
+                                let pid = hook.map(|_| batch.part.meta.id);
+                                let probe_row = |i| cs.chain.materialize(&batch.part, i);
+                                bloom_skips += jb.probe_batch(
+                                    &batch,
+                                    key_col,
+                                    bloom.as_ref(),
+                                    |i, matches| join_rows(&probe_row(i), matches, pid),
+                                );
+                            },
+                        );
+                    }
+                    None => {
+                        let pk = probe.schema()?.index_of(probe_key)?;
+                        let mut emit = |probe_row: Vec<Value>, pid: Option<PartitionId>| {
+                            let key = &probe_row[pk];
+                            if key.is_null() {
+                                return;
+                            }
+                            if bloom.as_ref().is_some_and(|bf| !bf.might_contain(key)) {
+                                bloom_skips += 1;
+                            } else if let Some(matches) = jb.matches(key) {
+                                join_rows(&probe_row, matches, pid);
+                            }
+                        };
+                        let opts = StreamOpts {
+                            join: join_hook,
+                            topk,
+                            delivery: Delivery::Arrival,
+                        };
+                        self.stream(probe, opts, st, &mut emit)?;
                     }
                 }
                 st.report.bloom_skipped_rows += bloom_skips;
-                Ok(RowSet {
-                    schema: out_schema,
-                    rows: out,
-                })
             }
             JoinType::OuterPreserveBuild => {
                 // The preserved build side streams; the probe side is the
                 // lookup table.
                 let bk = build.schema()?.index_of(build_key)?;
                 let probe_width = probe.schema()?.len();
-                // Preserved rows keep their source partition — the build
-                // side is the spine of an OuterJoinBuildSide top-k, so
-                // dropping the pid here used to abort §8.2 recording for
-                // every outer-join shape.
+                // Preserved rows keep their source partition: the build side
+                // is the spine of an OuterJoinBuildSide top-k.
                 let join_one = |lookup: &JoinBuild,
                                 row: Vec<Value>,
                                 pid: Option<PartitionId>,
-                                row_sink: RowSink<'_>| {
+                                sink: RowSink<'_>| {
                     // NULL build keys are never indexed, so a NULL key
                     // falls straight to the preserved (null-padded) arm.
                     match lookup.matches(&row[bk]) {
@@ -1018,53 +908,46 @@ impl Executor {
                             for &pi in matches {
                                 let mut joined = row.clone();
                                 joined.extend(lookup.rows()[pi].iter().cloned());
-                                row_sink(joined, pid);
+                                sink(joined, pid);
                             }
                         }
                         None => {
                             let mut joined = row;
                             joined.extend(std::iter::repeat_n(Value::Null, probe_width));
-                            row_sink(joined, pid);
+                            sink(joined, pid);
                         }
                     }
                 };
-                match spine {
-                    // Figure 7c: the build side streams through the spine
-                    // so boundary pruning applies to it — which means the
+                match topk {
+                    // Figure 7c: the build side streams as the spine so
+                    // boundary pruning applies to it — which means the
                     // probe is loaded unpruned (its keys are needed before
                     // any build row flows).
-                    Some(sp) => {
-                        let lookup = self.outer_probe_lookup(probe, probe_key, None, st)?;
-                        self.stream_spine_node(
-                            build,
-                            sp.spec,
-                            sp.boundary,
-                            st,
-                            &mut |row, pid| join_one(&lookup, row, pid, &mut *sp.f),
-                        )?;
+                    Some(_) => {
+                        let lookup = self.join_side(probe, probe_key, None, st)?;
+                        self.stream(build, StreamOpts::spine(topk), st, &mut |row, pid| {
+                            join_one(&lookup, row, pid, &mut *sink)
+                        })?;
                     }
                     // Without a spine the build materializes first and its
                     // keys join-prune the probe (§6).
                     None => {
-                        let build_rows = self.exec_node(build, st)?;
+                        let build_rows = self.exec_node(build, st)?.rows;
                         let summary = JoinSummary::build(
-                            build_rows.rows.iter().map(|r| &r[bk]),
+                            build_rows.iter().map(|r| &r[bk]),
                             self.cfg.join_summary,
                         );
                         st.report.join_summary_bytes += summary.serialized_bytes() as u64;
-                        let summary_opt = self.cfg.enable_join_pruning.then_some(&summary);
-                        let lookup = self.outer_probe_lookup(probe, probe_key, summary_opt, st)?;
-                        for row in build_rows.rows {
-                            join_one(&lookup, row, None, &mut |r, _| out.push(r));
+                        let summary = self.cfg.enable_join_pruning.then_some(&summary);
+                        let lookup = self.join_side(probe, probe_key, summary, st)?;
+                        for row in build_rows {
+                            join_one(&lookup, row, None, &mut *sink);
                         }
                     }
                 }
-                Ok(RowSet {
-                    schema: out_schema,
-                    rows: out,
-                })
             }
         }
+        Ok(())
     }
 
     /// Compile a Filter*/Project* chain over a scan. With `join` (a build
@@ -1125,92 +1008,110 @@ impl Executor {
         }))
     }
 
-    /// Stream a join side or the top-k spine target (a Filter*/Project*
-    /// chain over a scan, prepared by [`Executor::prepare_chain`]) into
-    /// `sink`, each row with its source partition — which the predicate
-    /// cache records alongside top-k heap survivors (§8.2). Workers
-    /// evaluate the chain and prune against the live (possibly stale)
-    /// boundary while heap updates flow back through the driver, so
-    /// tightenings reach them mid-scan. Falls back to materialized
-    /// execution (no provenance) for other shapes.
-    fn stream_side(
+    /// The one row stream: push `plan`'s rows into `sink`. A row carries
+    /// its source partition only when it comes off the hooked top-k target
+    /// scan — the §8.2 provenance the heap records. A row off any other
+    /// scan may come from another table, so it carries `None`, and a
+    /// recording that sees it aborts.
+    ///
+    /// * A Filter*/Project* chain over a scan compiles through
+    ///   [`Executor::prepare_chain`] with `opts.join` and `opts.topk` and
+    ///   runs through [`Executor::drive_scan`], rows materializing next to
+    ///   the scan. A scan with the top-k boundary hooked delivers on
+    ///   arrival, so heap tightenings reach the workers mid-scan; any other
+    ///   uses `opts.delivery`.
+    /// * A Filter or Project above any other input wraps `sink` row by row
+    ///   and recurses with [`StreamOpts::below`].
+    /// * A Join pushes its joined rows through [`Executor::exec_join`].
+    /// * Aggregate, Sort and Limit materialize through [`Executor::exec_node`].
+    fn stream(
         &self,
         plan: &Plan,
-        join: Option<(&JoinSummary, &str)>,
-        topk: Option<(&TopKSpec, &Arc<Boundary>)>,
+        opts: StreamOpts<'_>,
         st: &mut RunState,
         sink: RowSink<'_>,
     ) -> Result<()> {
-        let Some(cs) = self.prepare_chain(plan, join, topk, st)? else {
-            for r in self.exec_node(plan, st)?.rows {
-                sink(r, None);
-            }
+        if let Some(cs) = self.prepare_chain(plan, opts.join, opts.topk, st)? {
+            let hook = opts.topk.and_then(|(_, b)| cs.order_col.map(|c| (b, c)));
+            let delivery = hook.map_or(opts.delivery, |_| Delivery::Arrival);
+            self.drive_scan(
+                &cs.scan,
+                st,
+                hook,
+                delivery,
+                rows_map(cs.chain, cs.survivors),
+                |(pid, chunk)| {
+                    let pid = hook.map(|_| pid);
+                    chunk.into_iter().for_each(|r| sink(r, pid));
+                },
+            );
             return Ok(());
-        };
-        self.drive_scan(
-            &cs.scan,
-            st,
-            topk.and_then(|(_, b)| cs.order_col.map(|c| (b, c))),
-            Delivery::Arrival,
-            rows_map(cs.chain, cs.survivors),
-            |(pid, chunk)| chunk.into_iter().for_each(|r| sink(r, Some(pid))),
-        );
-        Ok(())
+        }
+        match plan {
+            Plan::Filter { input, predicate } => {
+                let bound = predicate.bind(&input.schema()?)?;
+                self.stream(input, opts.below(), st, &mut |row, pid| {
+                    if snowprune_expr::eval_predicate(&bound, &row).qualifies() {
+                        sink(row, pid);
+                    }
+                })
+            }
+            Plan::Project { input, columns } => {
+                let schema = input.schema()?;
+                let idxs: Vec<usize> = columns
+                    .iter()
+                    .map(|c| schema.index_of(c))
+                    .collect::<Result<_>>()?;
+                self.stream(input, opts.below(), st, &mut |row, pid| {
+                    sink(idxs.iter().map(|&i| row[i].clone()).collect(), pid)
+                })
+            }
+            Plan::Join { .. } => self.exec_join(plan, opts.topk, st, sink),
+            _ => {
+                let rows = self.exec_node(plan, st)?.rows;
+                rows.into_iter().for_each(|r| sink(r, None));
+                Ok(())
+            }
+        }
     }
 
-    /// Batch-native bulk load of a join side into a [`JoinBuild`]: when
-    /// `plan` is a Filter*/Project* chain over a scan (and the batch-native
-    /// path is on), push its refined batches' rows + keys column-major, in
-    /// scan-set order (so the §6 summary sees the sequential key
-    /// sequence). Returns `None` when the side needs the generic row
-    /// fallback.
-    fn try_batch_join_side(
+    /// Load a join side into a [`JoinBuild`] in scan-set order, so the §6
+    /// summary sees the sequential key sequence; with `summary`, §6
+    /// join-prune the side's scan first. A chain over a scan bulk-loads its
+    /// refined batches column-major when `batch_native` is on; any other
+    /// side streams row by row, also in scan order — so an outer join's
+    /// lookup side (a chain reaches the row path only with `batch_native`
+    /// off) loads identically on pooled and sequential runs.
+    fn join_side(
         &self,
         plan: &Plan,
-        key_column: &str,
-        summary: Option<&JoinSummary>,
-        st: &mut RunState,
-    ) -> Result<Option<JoinBuild>> {
-        if !self.cfg.batch_native {
-            return Ok(None);
-        }
-        let join = summary.map(|s| (s, key_column));
-        let Some(cs) = self.prepare_chain(plan, join, None, st)? else {
-            return Ok(None);
-        };
-        let key_out = plan.schema()?.index_of(key_column)?;
-        let mut jb = JoinBuild::new();
-        self.drive_scan(
-            &cs.scan,
-            st,
-            None,
-            Delivery::Ordered { need: None },
-            batch_map(cs.chain.clone(), cs.survivors),
-            |batch| jb.push_batch(&batch, &cs.chain, key_out),
-        );
-        Ok(Some(jb))
-    }
-
-    /// Load the outer join's probe (lookup) side into a [`JoinBuild`]:
-    /// batch-native bulk load when the side is a chain over a scan, row
-    /// streaming otherwise.
-    fn outer_probe_lookup(
-        &self,
-        probe: &Plan,
-        probe_key: &str,
+        key: &str,
         summary: Option<&JoinSummary>,
         st: &mut RunState,
     ) -> Result<JoinBuild> {
-        if let Some(jb) = self.try_batch_join_side(probe, probe_key, summary, st)? {
-            return Ok(jb);
-        }
-        let probe_schema = probe.schema()?;
-        let pk = probe_schema.index_of(probe_key)?;
+        let join = summary.map(|s| (s, key));
+        let key_out = plan.schema()?.index_of(key)?;
         let mut jb = JoinBuild::new();
-        let join = summary.map(|s| (s, probe_key));
-        self.stream_side(probe, join, None, st, &mut |r, _| {
-            let key = r[pk].clone();
-            jb.push_row(r, key);
+        if self.cfg.batch_native {
+            if let Some(cs) = self.prepare_chain(plan, join, None, st)? {
+                self.drive_scan(
+                    &cs.scan,
+                    st,
+                    None,
+                    Delivery::Ordered { need: None },
+                    batch_map(cs.chain.clone(), cs.survivors),
+                    |batch| jb.push_batch(&batch, &cs.chain, key_out),
+                );
+                return Ok(jb);
+            }
+        }
+        let opts = StreamOpts {
+            join,
+            ..StreamOpts::ordered(None)
+        };
+        self.stream(plan, opts, st, &mut |row, _| {
+            let key = row[key_out].clone();
+            jb.push_row(row, key);
         })?;
         Ok(jb)
     }
@@ -1316,7 +1217,8 @@ impl Executor {
             }
             heap.lock().insert(key, (row, pid));
         };
-        self.stream_spine_node(below, spec, &boundary, st, &mut sink)?;
+        let opts = StreamOpts::spine(Some((spec, &boundary)));
+        self.stream(below, opts, st, &mut sink)?;
 
         let survivors = heap.into_inner().into_sorted();
         if recording {
@@ -1386,7 +1288,8 @@ impl Executor {
                     staged.push(row);
                 }
             };
-            self.stream_spine_node(input, spec, boundary, st, &mut sink)?;
+            let opts = StreamOpts::spine(Some((spec, boundary)));
+            self.stream(input, opts, st, &mut sink)?;
         }
         let grouped = aggregate_rows(&input_schema, staged, group_by, aggs, None)?;
         let schema = agg_plan.schema()?;
@@ -1403,70 +1306,6 @@ impl Executor {
         rows.truncate(n);
         let rows = rows.into_iter().skip(offset).collect();
         Ok(RowSet { schema, rows })
-    }
-
-    /// Stream the top-k spine: rows flow partition-at-a-time from the
-    /// target scan up through filters/projections/joins into `sink`, so
-    /// boundary updates from the heap immediately affect later partitions.
-    /// Rows off the target scan carry their source partition (predicate-
-    /// cache provenance); rows from joins or materialized fallbacks have
-    /// none.
-    fn stream_spine_node(
-        &self,
-        plan: &Plan,
-        spec: &TopKSpec,
-        boundary: &Arc<Boundary>,
-        st: &mut RunState,
-        sink: &mut dyn FnMut(Vec<Value>, Option<PartitionId>),
-    ) -> Result<()> {
-        // Vectorized fast path: a Filter*/Project* chain directly over the
-        // target scan compiles into a [`BatchChain`] and streams column-
-        // major — filters run as selection-vector kernels next to the scan
-        // (worker-side on pooled runs) and rows materialize only at the
-        // heap insert. Rows keep per-batch partition provenance, so §8.2
-        // recording is unchanged.
-        if split_chain(plan).is_some_and(|(_, table, _)| table == spec.target_table) {
-            return self.stream_side(plan, None, Some((spec, boundary)), st, sink);
-        }
-        match plan {
-            Plan::Filter { input, predicate } => {
-                let schema = input.schema()?;
-                let bound = predicate.bind(&schema)?;
-                let mut wrapped = |row: Vec<Value>, pid: Option<PartitionId>| {
-                    if snowprune_expr::eval_predicate(&bound, &row).qualifies() {
-                        sink(row, pid);
-                    }
-                };
-                self.stream_spine_node(input, spec, boundary, st, &mut wrapped)
-            }
-            Plan::Project { input, columns } => {
-                let schema = input.schema()?;
-                let idxs: Vec<usize> = columns
-                    .iter()
-                    .map(|c| schema.index_of(c))
-                    .collect::<Result<_>>()?;
-                let mut wrapped = |row: Vec<Value>, pid: Option<PartitionId>| {
-                    sink(idxs.iter().map(|&i| row[i].clone()).collect(), pid);
-                };
-                self.stream_spine_node(input, spec, boundary, st, &mut wrapped)
-            }
-            Plan::Join { .. } => {
-                let mut spine_sink = SpineSink {
-                    spec,
-                    boundary,
-                    f: sink,
-                };
-                self.exec_join(plan, st, Some(&mut spine_sink))?;
-                Ok(())
-            }
-            other => {
-                let rows = self.exec_node(other, st)?;
-                for r in rows.rows {
-                    sink(r, None);
-                }
-                Ok(())
-            }
-        }
     }
 }
 
@@ -1610,15 +1449,52 @@ struct ChainScan {
     survivors: Survivors,
 }
 
-/// A row consumer on the streaming path, with optional source-partition
-/// provenance (None for joined or materialized rows).
+/// A row consumer on the streaming path, with the row's source partition
+/// when it comes off the hooked top-k target scan.
 type RowSink<'a> = &'a mut dyn FnMut(Vec<Value>, Option<PartitionId>);
 
-/// A streaming sink handed through joins on the top-k spine.
-struct SpineSink<'a> {
-    spec: &'a TopKSpec,
-    boundary: &'a Arc<Boundary>,
-    f: &'a mut dyn FnMut(Vec<Value>, Option<PartitionId>),
+/// How [`Executor::stream`] runs a plan: the hooks [`Executor::prepare_chain`]
+/// installs on the chain it reaches, and how that chain's pooled output
+/// reaches the sink.
+#[derive(Clone, Copy)]
+struct StreamOpts<'a> {
+    /// §6 join pruning: a build side's summary and this side's key column.
+    join: Option<(&'a JoinSummary, &'a str)>,
+    /// Figure 7: the top-k spec and the boundary its heap tightens.
+    topk: Option<(&'a TopKSpec, &'a Arc<Boundary>)>,
+    delivery: Delivery,
+}
+
+impl<'a> StreamOpts<'a> {
+    /// No hooks; scan-order delivery, stopping once `need` rows are pinned
+    /// down when it is set.
+    fn ordered(need: Option<usize>) -> Self {
+        StreamOpts {
+            join: None,
+            topk: None,
+            delivery: Delivery::Ordered { need },
+        }
+    }
+
+    /// The top-k spine: the hooked target scan delivers on arrival; any
+    /// other input runs in scan order, as a materialized sort input would.
+    fn spine(topk: Option<(&'a TopKSpec, &'a Arc<Boundary>)>) -> Self {
+        StreamOpts {
+            topk,
+            ..StreamOpts::ordered(None)
+        }
+    }
+
+    /// What a Filter or Project above a non-chain input passes down: the
+    /// top-k hook follows the spine, while the join hook and a LIMIT's
+    /// `need` belong to the node they were given to.
+    fn below(mut self) -> Self {
+        self.join = None;
+        if let Delivery::Ordered { need } = &mut self.delivery {
+            *need = None;
+        }
+        self
+    }
 }
 
 // ---- helpers -------------------------------------------------------------

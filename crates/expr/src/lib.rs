@@ -8,7 +8,7 @@
 //! * [`eval`] — Kleene-logic evaluation used by the execution engine.
 //! * [`pruneval`] — metadata-only evaluation: [`pruneval::derive_range`]
 //!   and [`pruneval::prune_eval`].
-//! * [`rewrite`] — `LIKE`→prefix widening and constant folding.
+//! * [`rewrite`] — `LIKE`→prefix widening.
 //! * [`kernel`] — selection-vector predicate kernels for batch execution.
 
 #![forbid(unsafe_code)]
@@ -25,4 +25,4 @@ pub use eval::{
     eval_predicate, eval_truths_range, eval_value, like_match, selection_indices, Truth,
 };
 pub use pruneval::{derive_range, prune_eval};
-pub use rewrite::{analyze_like, fold_constants, prefix_successor, widen_for_pruning, LikeShape};
+pub use rewrite::{analyze_like, prefix_successor, widen_for_pruning, LikeShape};

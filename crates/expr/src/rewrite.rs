@@ -1,14 +1,11 @@
-//! Imprecise filter rewrites (§3.1) and expression simplification.
+//! Imprecise filter rewrites (§3.1).
 //!
 //! "Predicates can be widened to facilitate more coarse-grained pruning":
 //! a `LIKE` pattern that cannot be evaluated against min/max metadata is
 //! analyzed into a *shape*; if it has a literal prefix, pruning can use the
 //! widened predicate `STARTSWITH(prefix)` instead.
 
-use snowprune_types::Value;
-
 use crate::ast::{dsl, Expr};
-use crate::eval::eval_value;
 
 /// Structure of a LIKE pattern as far as pruning is concerned.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,81 +85,6 @@ pub fn widen_for_pruning(expr: &Expr) -> Option<Expr> {
     }
 }
 
-/// Constant folding: collapse literal-only subtrees using the scalar
-/// evaluator. Sound because evaluation of a literal subtree is row
-/// independent.
-// TEST-API: prop_pruning pins its semantics; no planner pass calls it yet.
-pub fn fold_constants(expr: &Expr) -> Expr {
-    fn is_literal_only(e: &Expr) -> bool {
-        let mut ok = true;
-        e.visit(&mut |x| {
-            if matches!(x, Expr::Column(_)) {
-                ok = false;
-            }
-        });
-        ok
-    }
-    fn fold(e: &Expr) -> Expr {
-        if is_literal_only(e) {
-            return Expr::Literal(eval_value(e, &[]));
-        }
-        match e {
-            Expr::Cmp(op, a, b) => Expr::Cmp(*op, Box::new(fold(a)), Box::new(fold(b))),
-            Expr::And(xs) => {
-                let folded: Vec<Expr> = xs.iter().map(fold).collect();
-                // TRUE conjuncts drop; a FALSE conjunct collapses the AND.
-                if folded
-                    .iter()
-                    .any(|x| matches!(x, Expr::Literal(Value::Bool(false))))
-                {
-                    return Expr::Literal(Value::Bool(false));
-                }
-                let kept: Vec<Expr> = folded
-                    .into_iter()
-                    .filter(|x| !matches!(x, Expr::Literal(Value::Bool(true))))
-                    .collect();
-                match kept.len() {
-                    0 => Expr::Literal(Value::Bool(true)),
-                    1 => kept.into_iter().next().unwrap(),
-                    _ => Expr::And(kept),
-                }
-            }
-            Expr::Or(xs) => {
-                let folded: Vec<Expr> = xs.iter().map(fold).collect();
-                if folded
-                    .iter()
-                    .any(|x| matches!(x, Expr::Literal(Value::Bool(true))))
-                {
-                    return Expr::Literal(Value::Bool(true));
-                }
-                let kept: Vec<Expr> = folded
-                    .into_iter()
-                    .filter(|x| !matches!(x, Expr::Literal(Value::Bool(false))))
-                    .collect();
-                match kept.len() {
-                    0 => Expr::Literal(Value::Bool(false)),
-                    1 => kept.into_iter().next().unwrap(),
-                    _ => Expr::Or(kept),
-                }
-            }
-            Expr::Not(x) => Expr::Not(Box::new(fold(x))),
-            Expr::IsNull(x) => Expr::IsNull(Box::new(fold(x))),
-            Expr::Arith(op, a, b) => Expr::Arith(*op, Box::new(fold(a)), Box::new(fold(b))),
-            Expr::Neg(x) => Expr::Neg(Box::new(fold(x))),
-            Expr::If(c, t, el) => {
-                Expr::If(Box::new(fold(c)), Box::new(fold(t)), Box::new(fold(el)))
-            }
-            Expr::Like(x, p) => Expr::Like(Box::new(fold(x)), p.clone()),
-            Expr::StartsWith(x, p) => Expr::StartsWith(Box::new(fold(x)), p.clone()),
-            Expr::InList(x, vs) => Expr::InList(Box::new(fold(x)), vs.clone()),
-            Expr::Coalesce(xs) => Expr::Coalesce(xs.iter().map(fold).collect()),
-            Expr::Abs(x) => Expr::Abs(Box::new(fold(x))),
-            leaf => leaf.clone(),
-        }
-    }
-    fold(expr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,22 +127,5 @@ mod tests {
         let e = col("name").like("Marked-%-Ridge");
         let w = widen_for_pruning(&e).unwrap();
         assert_eq!(w.to_string(), "STARTSWITH(name, 'Marked-')");
-    }
-
-    #[test]
-    fn folding_collapses_literal_subtrees() {
-        let e = col("x").gt(lit(100i64).mul(lit(15i64)));
-        let f = fold_constants(&e);
-        assert_eq!(f.to_string(), "(x > 1500)");
-    }
-
-    #[test]
-    fn folding_short_circuits_booleans() {
-        let e = lit(true).and(col("x").gt(lit(1i64)));
-        assert_eq!(fold_constants(&e).to_string(), "(x > 1)");
-        let e2 = lit(false).and(col("x").gt(lit(1i64)));
-        assert_eq!(fold_constants(&e2).to_string(), "FALSE");
-        let e3 = lit(true).or(col("x").gt(lit(1i64)));
-        assert_eq!(fold_constants(&e3).to_string(), "TRUE");
     }
 }
