@@ -181,7 +181,7 @@ mod tests {
             } else {
                 Value::Int(k)
             };
-            t.push_row(vec![Value::Int(k), b, Value::Str(format!("r{k}"))]);
+            t.push_row(vec![Value::Int(k), b, Value::Str(format!("r{k}").into())]);
         }
         t.build()
     }

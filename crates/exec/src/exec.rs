@@ -831,7 +831,9 @@ impl Executor {
                 // §8.2 provenance survives the join.
                 let mut join_rows = |probe_row: &[Value], matches: &[usize], pid| {
                     for &bi in matches {
-                        let mut row = jb.rows()[bi].clone();
+                        let build_row = &jb.rows()[bi];
+                        let mut row = Vec::with_capacity(build_row.len() + probe_row.len());
+                        row.extend_from_slice(build_row);
                         row.extend_from_slice(probe_row);
                         sink(row, pid);
                     }
@@ -906,12 +908,15 @@ impl Executor {
                     match lookup.matches(&row[bk]) {
                         Some(matches) => {
                             for &pi in matches {
-                                let mut joined = row.clone();
-                                joined.extend(lookup.rows()[pi].iter().cloned());
+                                let mut joined = Vec::with_capacity(row.len() + probe_width);
+                                joined.extend_from_slice(&row);
+                                joined.extend_from_slice(&lookup.rows()[pi]);
                                 sink(joined, pid);
                             }
                         }
                         None => {
+                            // One reallocation: `extend` reserves the
+                            // exact padding up front.
                             let mut joined = row;
                             joined.extend(std::iter::repeat_n(Value::Null, probe_width));
                             sink(joined, pid);

@@ -711,7 +711,7 @@ mod tests {
         ]);
         let mut d = TableBuilder::new("dim", dim_schema).target_rows_per_partition(8);
         for i in 0..16i64 {
-            d.push_row(vec![Value::Int(i), Value::Str(format!("d{i}"))]);
+            d.push_row(vec![Value::Int(i), Value::Str(format!("d{i}").into())]);
         }
         let fact_schema = Schema::new(vec![
             Field::new("k", ScalarType::Int),

@@ -30,8 +30,8 @@ fn wildlife_catalog() -> Catalog {
             format!("Basecamp-{i}")
         };
         trails.push_row(vec![
-            Value::Str(format!("M{}", i % 20)),
-            Value::Str(name),
+            Value::Str(format!("M{}", i % 20).into()),
+            Value::Str(name.into()),
             Value::Str(unit.into()),
             Value::Int(500 + i * 7 % 7000),
         ]);
@@ -56,7 +56,7 @@ fn wildlife_catalog() -> Catalog {
     ];
     for i in 0..5000i64 {
         tracking.push_row(vec![
-            Value::Str(format!("M{}", i % 20)),
+            Value::Str(format!("M{}", i % 20).into()),
             Value::Str(species[(i % 5) as usize].into()),
             Value::Int(4 + (i * 13) % 130),
             Value::Int((i * 31) % 10000),

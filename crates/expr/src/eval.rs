@@ -343,7 +343,7 @@ fn cmp_column_literal(
                 if !chunk.is_valid(i) {
                     Truth::Unknown
                 } else {
-                    Truth::from_bool(cmp_holds(op, vals[i].as_str().cmp(l.as_str())))
+                    Truth::from_bool(cmp_holds(op, vals[i].cmp(l)))
                 }
             })
             .collect(),

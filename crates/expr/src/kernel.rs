@@ -71,9 +71,18 @@ fn refine_conjunct(conjunct: &Expr, part: &MicroPartition, sel: &mut SelVec) {
 }
 
 /// Scalar fallback for non-eligible conjuncts: row-at-a-time Kleene
-/// evaluation on the still-selected rows only.
+/// evaluation on the still-selected rows only. Every row is evaluated in
+/// one scratch row that holds just the columns the conjunct reads; the
+/// other slots stay `Null`.
 fn refine_scalar(conjunct: &Expr, part: &MicroPartition, sel: &mut SelVec) {
-    keep(sel, |i| eval_predicate(conjunct, &part.row(i)).qualifies());
+    let cols = conjunct.referenced_columns();
+    let mut row = vec![Value::Null; part.columns.len()];
+    keep(sel, |i| {
+        for &c in &cols {
+            row[c] = part.column(c).value_at(i);
+        }
+        eval_predicate(conjunct, &row).qualifies()
+    });
 }
 
 /// `column <op> literal` kernels. The arm order mirrors
@@ -110,9 +119,15 @@ fn refine_cmp(part: &MicroPartition, col: usize, op: CmpOp, lit: &Value, sel: &m
                 eval_cmp(op, &Value::Int(vals[i]), lit).qualifies()
             });
         }
+        // A string chunk is dictionary-encoded: each distinct value is
+        // compared at most once, on the first selected row that holds it,
+        // and every other row is kept by its code.
         (ColumnValues::Str(vals), Value::Str(l)) => {
+            let (dict, codes) = (vals.dict(), vals.codes());
+            let mut holds: Vec<Option<bool>> = vec![None; dict.len()];
             keep_valid(sel, validity, |i| {
-                cmp_holds(op, vals[i].as_str().cmp(l.as_str()))
+                let c = codes[i] as usize;
+                *holds[c].get_or_insert_with(|| cmp_holds(op, (*dict[c]).cmp(l)))
             });
         }
         // Generic: value_at maps invalid slots to Null, which compares to
@@ -136,7 +151,7 @@ pub fn refine_valid(part: &MicroPartition, col: usize, sel: &mut SelVec) {
 /// Hoist the validity check out of the row loop: the dense (no-nulls) case
 /// runs `test` alone, the sparse case masks through the bitmap first.
 #[inline]
-fn keep_valid(sel: &mut SelVec, validity: Option<&Bitmap>, test: impl Fn(usize) -> bool) {
+fn keep_valid(sel: &mut SelVec, validity: Option<&Bitmap>, mut test: impl FnMut(usize) -> bool) {
     match validity {
         None => keep(sel, test),
         Some(bits) => keep(sel, |i| bits.get(i) && test(i)),
@@ -146,7 +161,7 @@ fn keep_valid(sel: &mut SelVec, validity: Option<&Bitmap>, test: impl Fn(usize) 
 /// Retain only rows passing `test`. Monomorphized per call site so each
 /// typed kernel compiles to a tight loop over its concrete column slice.
 #[inline]
-fn keep(sel: &mut SelVec, test: impl Fn(usize) -> bool) {
+fn keep(sel: &mut SelVec, test: impl FnMut(usize) -> bool) {
     sel.retain(test);
 }
 

@@ -291,7 +291,7 @@ fn like_verdict(x: &Expr, pattern: &str, meta: &[ZoneMap]) -> Verdict {
         return Verdict::ALWAYS_UNKNOWN;
     }
     match analyze_like(pattern) {
-        LikeShape::Exact(s) => cmp_verdict(CmpOp::Eq, &r, &ValueRange::point(Value::Str(s))),
+        LikeShape::Exact(s) => cmp_verdict(CmpOp::Eq, &r, &ValueRange::point(Value::from(s))),
         LikeShape::Prefix(p) => prefix_verdict(&r, &p, true),
         // Widened: the prefix region over-approximates matches, so only the
         // may_true/all_false facts carry over; all_true must not (§3.1:
@@ -314,8 +314,8 @@ fn prefix_verdict(r: &ValueRange, prefix: &str, exact: bool) -> Verdict {
     if r.all_null {
         return Verdict::ALWAYS_UNKNOWN;
     }
-    let p = Value::Str(prefix.to_owned());
-    let succ = prefix_successor(prefix).map(Value::Str);
+    let p = Value::from(prefix);
+    let succ = prefix_successor(prefix).map(Value::from);
     // may_true: [min, max] intersects [prefix, succ(prefix)).
     let below = match &succ {
         Some(s) => r.certainly_ge(s),

@@ -6,7 +6,9 @@
 //! ([`eval_truths_range`] + [`selection_indices`]), including NaN
 //! ordering, int/float cross-type comparisons, and NULL literals. The
 //! compositional form ([`snowprune_expr::kernel::refine`] conjunct by
-//! conjunct) must agree with the one-shot form.
+//! conjunct) must agree with the one-shot form. Column `r` repeats a few
+//! strings, so its chunks have small dictionaries and the string kernel
+//! takes its once-per-dictionary-entry path.
 
 use proptest::prelude::*;
 
@@ -16,13 +18,14 @@ use snowprune_expr::{eval_truths_range, selection_indices};
 use snowprune_storage::{ColumnBuilder, Field, MicroPartition, Schema};
 use snowprune_types::{ScalarType, Value};
 
-const COLS: [(&str, ScalarType); 6] = [
+const COLS: [(&str, ScalarType); 7] = [
     ("a", ScalarType::Int),
     ("b", ScalarType::Int),
     ("s", ScalarType::Str),
     ("f", ScalarType::Float),
     ("d", ScalarType::Date),
     ("t", ScalarType::Timestamp),
+    ("r", ScalarType::Str),
 ];
 
 fn schema() -> Schema {
@@ -45,7 +48,11 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
         ]
     };
     let string = prop_oneof![
-        3 => "[a-c]{0,5}".prop_map(Value::Str),
+        3 => "[a-c]{0,5}".prop_map(Value::from),
+        1 => Just(Value::Null),
+    ];
+    let repeated = prop_oneof![
+        6 => prop_oneof![Just(""), Just("x"), Just("xy"), Just("y")].prop_map(Value::from),
         1 => Just(Value::Null),
     ];
     let float = prop_oneof![
@@ -61,8 +68,16 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
         3 => (0i64..5_000).prop_map(Value::Timestamp),
         1 => Just(Value::Null),
     ];
-    (int(-20i64..20), int(-500i64..500), string, float, date, ts)
-        .prop_map(|(a, b, s, f, d, t)| vec![a, b, s, f, d, t])
+    (
+        int(-20i64..20),
+        int(-500i64..500),
+        string,
+        float,
+        date,
+        ts,
+        repeated,
+    )
+        .prop_map(|(a, b, s, f, d, t, r)| vec![a, b, s, f, d, t, r])
 }
 
 fn cmp_op() -> impl Strategy<Value = CmpOp> {
@@ -103,7 +118,12 @@ fn predicate() -> impl Strategy<Value = Expr> {
     ]
     .boxed();
     let str_lit = prop_oneof![
-        5 => "[a-c]{0,4}".prop_map(Value::Str),
+        5 => "[a-c]{0,4}".prop_map(Value::from),
+        1 => Just(Value::Null),
+    ]
+    .boxed();
+    let repeated_lit = prop_oneof![
+        5 => "[xy]{0,2}".prop_map(Value::from),
         1 => Just(Value::Null),
     ]
     .boxed();
@@ -116,6 +136,7 @@ fn predicate() -> impl Strategy<Value = Expr> {
         cmp(bound_col("f"), float_lit),
         cmp(bound_col("f"), int_lit.clone()),
         cmp(bound_col("s"), str_lit),
+        cmp(bound_col("r"), repeated_lit),
         cmp(
             bound_col("d"),
             (18_000i32..18_030).prop_map(Value::Date).boxed()
@@ -127,11 +148,13 @@ fn predicate() -> impl Strategy<Value = Expr> {
         prop_oneof![
             Just(bound_col("a")),
             Just(bound_col("s")),
-            Just(bound_col("f"))
+            Just(bound_col("f")),
+            Just(bound_col("r"))
         ]
         .prop_map(|c| c.is_null()),
         "[a-c%_]{0,4}".prop_map(|p| bound_col("s").like(p)),
         "[a-c]{0,2}".prop_map(|p| bound_col("s").starts_with(p)),
+        "[xy%_]{0,3}".prop_map(|p| bound_col("r").like(p)),
         proptest::collection::vec(int_lit, 0..4).prop_map(|vs| bound_col("a").in_list(vs)),
         // Arithmetic comparand: never kernel-eligible, exercises the
         // scalar fallback on exactly the still-selected rows.

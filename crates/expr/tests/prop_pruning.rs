@@ -46,7 +46,7 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
         1 => Just(Value::Null),
     ];
     let string = prop_oneof![
-        2 => "[a-c]{0,6}".prop_map(Value::Str),
+        2 => "[a-c]{0,6}".prop_map(Value::from),
         1 => Just(Value::Str("Alpine Ibex".into())),
         1 => Just(Value::Str("Marked-A-Ridge".into())),
         1 => Just(Value::Null),

@@ -252,7 +252,7 @@ pub fn literal_value(kind: &TokenKind) -> Option<Value> {
     match kind {
         TokenKind::Int(v) => Some(Value::Int(*v)),
         TokenKind::Float(v) => Some(Value::Float(*v)),
-        TokenKind::Str(s) => Some(Value::Str(s.clone())),
+        TokenKind::Str(s) => Some(Value::from(s.as_str())),
         _ => None,
     }
 }

@@ -2,9 +2,16 @@
 //!
 //! Micro-partitions use a PAX-style layout (§2): all rows of a partition
 //! live together, organized column-by-column. Each column chunk stores a
-//! typed vector plus an optional validity bitmap.
+//! typed vector plus an optional validity bitmap; a string chunk stores a
+//! dictionary of its distinct values plus one code per row ([`StrColumn`]).
+
+use std::collections::HashMap;
+use std::ops::Index;
+use std::sync::Arc;
 
 use snowprune_types::{ScalarType, Value};
+
+use crate::schema::Schema;
 
 /// A packed validity bitmap; bit set = value present (non-null).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,8 +88,8 @@ pub enum ColumnValues {
     Int(Vec<i64>),
     /// 64-bit floats.
     Float(Vec<f64>),
-    /// UTF-8 strings.
-    Str(Vec<String>),
+    /// UTF-8 strings, dictionary-encoded.
+    Str(StrColumn),
     /// Dates as days since the epoch.
     Date(Vec<i32>),
     /// Timestamps as microseconds since the epoch.
@@ -119,15 +126,74 @@ impl ColumnValues {
         }
     }
 
-    fn empty_for(ty: ScalarType) -> ColumnValues {
+    fn with_capacity(ty: ScalarType, rows: usize) -> ColumnValues {
         match ty {
-            ScalarType::Bool => ColumnValues::Bool(Vec::new()),
-            ScalarType::Int => ColumnValues::Int(Vec::new()),
-            ScalarType::Float => ColumnValues::Float(Vec::new()),
-            ScalarType::Str => ColumnValues::Str(Vec::new()),
-            ScalarType::Date => ColumnValues::Date(Vec::new()),
-            ScalarType::Timestamp => ColumnValues::Timestamp(Vec::new()),
+            ScalarType::Bool => ColumnValues::Bool(Vec::with_capacity(rows)),
+            ScalarType::Int => ColumnValues::Int(Vec::with_capacity(rows)),
+            ScalarType::Float => ColumnValues::Float(Vec::with_capacity(rows)),
+            ScalarType::Str => ColumnValues::Str(StrColumn {
+                dict: Vec::new(),
+                codes: Vec::with_capacity(rows),
+            }),
+            ScalarType::Date => ColumnValues::Date(Vec::with_capacity(rows)),
+            ScalarType::Timestamp => ColumnValues::Timestamp(Vec::with_capacity(rows)),
         }
+    }
+}
+
+/// A dictionary-encoded string column: the chunk's distinct values, each
+/// stored once, and one `u32` code per row indexing them. Reading a row
+/// hands out the shared `Arc<str>` (a refcount bump, no copy), and a
+/// predicate can be evaluated once per dictionary entry instead of once per
+/// row. Null slots hold the code of `""`, masked by the chunk's validity.
+#[derive(Clone, Debug)]
+pub struct StrColumn {
+    dict: Vec<Arc<str>>,
+    codes: Vec<u32>,
+}
+
+impl StrColumn {
+    /// Number of rows (null placeholders included).
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when the column holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The distinct values, in first-occurrence order.
+    pub fn dict(&self) -> &[Arc<str>] {
+        &self.dict
+    }
+
+    /// One index into [`StrColumn::dict`] per row.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The shared string of row `i`.
+    #[inline]
+    fn get(&self, i: usize) -> &Arc<str> {
+        &self.dict[self.codes[i] as usize]
+    }
+}
+
+impl Index<usize> for StrColumn {
+    type Output = str;
+
+    #[inline]
+    fn index(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
+impl PartialEq for StrColumn {
+    /// Row-wise equality: two chunks holding the same strings compare equal
+    /// whatever order their dictionaries were built in.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self[i] == other[i])
     }
 }
 
@@ -201,13 +267,13 @@ impl ColumnChunk {
             ColumnValues::Bool(v) => Value::Bool(v[i]),
             ColumnValues::Int(v) => Value::Int(v[i]),
             ColumnValues::Float(v) => Value::Float(v[i]),
-            ColumnValues::Str(v) => Value::Str(v[i].clone()),
+            ColumnValues::Str(v) => Value::Str(v.get(i).clone()),
             ColumnValues::Date(v) => Value::Date(v[i]),
             ColumnValues::Timestamp(v) => Value::Timestamp(v[i]),
         }
     }
 
-    /// Iterate rows as values (allocates for strings).
+    /// Iterate rows as values.
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(|i| self.value_at(i))
     }
@@ -219,20 +285,11 @@ impl ColumnChunk {
             ColumnValues::Bool(v) => v.len(),
             ColumnValues::Int(v) => v.len() * 8,
             ColumnValues::Float(v) => v.len() * 8,
-            ColumnValues::Str(v) => v.iter().map(|s| s.len() + 4).sum(),
+            ColumnValues::Str(v) => v.codes.iter().map(|&c| v.dict[c as usize].len() + 4).sum(),
             ColumnValues::Date(v) => v.len() * 4,
             ColumnValues::Timestamp(v) => v.len() * 8,
         };
         data + self.validity.as_ref().map_or(0, |b| b.len() / 8 + 1)
-    }
-
-    /// Gather the rows at `indices` into a new chunk.
-    pub fn take(&self, indices: &[usize]) -> ColumnChunk {
-        let mut b = ColumnBuilder::new(self.scalar_type());
-        for &i in indices {
-            b.push(self.value_at(i));
-        }
-        b.finish()
     }
 }
 
@@ -242,15 +299,27 @@ pub struct ColumnBuilder {
     values: ColumnValues,
     validity: Bitmap,
     any_null: bool,
+    /// A string column's dictionary index (value → code). Builder-only:
+    /// [`ColumnBuilder::finish`] drops it, so no chunk carries it.
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl ColumnBuilder {
     /// An empty builder for a column of type `ty`.
     pub fn new(ty: ScalarType) -> Self {
+        Self::with_capacity(ty, 0)
+    }
+
+    /// An empty builder with room for `rows` values, so building a chunk
+    /// of known length allocates each of its vectors once.
+    pub(crate) fn with_capacity(ty: ScalarType, rows: usize) -> Self {
+        let mut validity = Bitmap::new_set(0);
+        validity.words.reserve_exact(rows.div_ceil(64));
         ColumnBuilder {
-            values: ColumnValues::empty_for(ty),
-            validity: Bitmap::new_set(0),
+            values: ColumnValues::with_capacity(ty, rows),
+            validity,
             any_null: false,
+            index: HashMap::new(),
         }
     }
 
@@ -280,8 +349,8 @@ impl ColumnBuilder {
             (ColumnValues::Float(c), Value::Float(x)) => c.push(x),
             (ColumnValues::Float(c), Value::Int(x)) => c.push(x as f64),
             (ColumnValues::Float(c), Value::Null) => c.push(0.0),
-            (ColumnValues::Str(c), Value::Str(x)) => c.push(x),
-            (ColumnValues::Str(c), Value::Null) => c.push(String::new()),
+            (ColumnValues::Str(c), Value::Str(x)) => intern(c, &mut self.index, &x),
+            (ColumnValues::Str(c), Value::Null) => intern(c, &mut self.index, ""),
             (ColumnValues::Date(c), Value::Date(x)) => c.push(x),
             (ColumnValues::Date(c), Value::Null) => c.push(0),
             (ColumnValues::Timestamp(c), Value::Timestamp(x)) => c.push(x),
@@ -309,6 +378,52 @@ impl ColumnBuilder {
             validity,
         }
     }
+}
+
+/// One chunk per schema field, built from row-major `rows`.
+pub(crate) fn chunks_from_rows(schema: &Schema, rows: &[Vec<Value>]) -> Vec<ColumnChunk> {
+    let mut builders: Vec<ColumnBuilder> = schema
+        .fields()
+        .iter()
+        .map(|f| ColumnBuilder::with_capacity(f.ty, rows.len()))
+        .collect();
+    for row in rows {
+        for (b, v) in builders.iter_mut().zip(row) {
+            // Allocates nothing: a string clone bumps a refcount.
+            b.push(v.clone());
+        }
+    }
+    // Not `collect()`: it would reuse the builders' larger allocation and
+    // keep it for the partition's lifetime.
+    let mut chunks = Vec::with_capacity(builders.len());
+    chunks.extend(builders.into_iter().map(ColumnBuilder::finish));
+    chunks
+}
+
+/// Append `s` to a string column under its dictionary code, adding it to
+/// the dictionary on first sight. A run of equal values skips the hash
+/// lookup.
+///
+/// The dictionary stores its own copy of each value rather than the pushed
+/// `Arc`: a chunk's strings are then allocated together, not left wherever
+/// each row's value was born among since-freed row vectors. Keeping the
+/// pushed `Arc`s fragmented the heap and measured slower scans and writes
+/// on the `tpch_cpu` and `adhoc_dml` lakes.
+fn intern(col: &mut StrColumn, index: &mut HashMap<Arc<str>, u32>, s: &str) {
+    let code = match col.codes.last() {
+        Some(&last) if *col.dict[last as usize] == *s => last,
+        _ => match index.get(s) {
+            Some(&code) => code,
+            None => {
+                let code = col.dict.len() as u32;
+                let v: Arc<str> = Arc::from(s);
+                col.dict.push(v.clone());
+                index.insert(v, code);
+                code
+            }
+        },
+    };
+    col.codes.push(code);
 }
 
 #[cfg(test)]
@@ -389,14 +504,22 @@ mod tests {
     }
 
     #[test]
-    fn take_gathers_rows() {
+    fn string_builder_stores_each_distinct_value_once() {
         let mut b = ColumnBuilder::new(ScalarType::Str);
-        for s in ["a", "b", "c", "d"] {
-            b.push(Value::Str(s.into()));
+        for v in ["b", "b", "a", "b", "", "a"] {
+            b.push(Value::from(v));
         }
+        b.push(Value::Null);
         let chunk = b.finish();
-        let taken = chunk.take(&[3, 1]);
-        assert_eq!(taken.value_at(0), Value::Str("d".into()));
-        assert_eq!(taken.value_at(1), Value::Str("b".into()));
+        let ColumnValues::Str(col) = chunk.values() else {
+            panic!("not a string chunk");
+        };
+        let dict: Vec<&str> = col.dict().iter().map(|s| &**s).collect();
+        assert_eq!(dict, ["b", "a", ""]);
+        // The NULL slot reuses the code of "" and is masked by validity.
+        assert_eq!(col.codes(), [0, 0, 1, 0, 2, 1, 2]);
+        assert_eq!(&col[3], "b");
+        assert_eq!(chunk.value_at(4), Value::from(""));
+        assert_eq!(chunk.value_at(6), Value::Null);
     }
 }

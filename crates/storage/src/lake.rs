@@ -8,7 +8,7 @@
 
 use snowprune_types::{Verdict, ZoneMap, DEFAULT_STRING_PREFIX};
 
-use crate::column::ColumnChunk;
+use crate::column::{chunks_from_rows, ColumnChunk};
 use crate::io::{IoCostModel, IoStats};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -131,13 +131,13 @@ impl LakeTable {
         for (fi, file_rows) in rows.chunks(rows_per_file.max(1)).enumerate() {
             let mut row_groups = Vec::new();
             for group_rows in file_rows.chunks(rows_per_group.max(1)) {
-                let columns = columns_from_rows(&schema, group_rows);
+                let columns = chunks_from_rows(&schema, group_rows);
                 let zone_maps = group_stats.then(|| zone_maps_of(&columns));
                 let mut pages = Vec::new();
                 let mut off = 0;
                 for page_rows in group_rows.chunks(rows_per_page.max(1)) {
                     let pz = page_stats.then(|| {
-                        let cols = columns_from_rows(&schema, page_rows);
+                        let cols = chunks_from_rows(&schema, page_rows);
                         zone_maps_of(&cols)
                     });
                     pages.push(PageMeta {
@@ -265,20 +265,6 @@ impl LakeTable {
         b.extend_rows(builder_rows);
         b.build()
     }
-}
-
-fn columns_from_rows(schema: &Schema, rows: &[Vec<snowprune_types::Value>]) -> Vec<ColumnChunk> {
-    let mut builders: Vec<crate::column::ColumnBuilder> = schema
-        .fields()
-        .iter()
-        .map(|f| crate::column::ColumnBuilder::new(f.ty))
-        .collect();
-    for row in rows {
-        for (b, v) in builders.iter_mut().zip(row.iter()) {
-            b.push(v.clone());
-        }
-    }
-    builders.into_iter().map(|b| b.finish()).collect()
 }
 
 fn zone_maps_of(columns: &[ColumnChunk]) -> Vec<ZoneMap> {

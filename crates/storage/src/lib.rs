@@ -19,7 +19,7 @@ pub mod schema;
 pub mod table;
 
 pub use catalog::{Catalog, TableRef};
-pub use column::{Bitmap, ColumnBuilder, ColumnChunk, ColumnValues};
+pub use column::{Bitmap, ColumnBuilder, ColumnChunk, ColumnValues, StrColumn};
 pub use io::{IoCostModel, IoSnapshot, IoStats};
 pub use lake::{DataFile, LakePruneStats, LakeTable, ManifestEntry, PageMeta, RowGroup};
 pub use partition::{MicroPartition, PartitionId, PartitionMeta};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use snowprune_types::{Error, Result, Value, DEFAULT_STRING_PREFIX};
 
-use crate::column::{ColumnBuilder, ColumnChunk};
+use crate::column::chunks_from_rows;
 use crate::io::{IoCostModel, IoStats};
 use crate::partition::{MicroPartition, PartitionId, PartitionMeta};
 use crate::schema::Schema;
@@ -306,25 +306,7 @@ impl Table {
             if chunk.is_empty() {
                 continue;
             }
-            let mut builders: Vec<ColumnBuilder> = self
-                .schema
-                .fields()
-                .iter()
-                .map(|f| ColumnBuilder::new(f.ty))
-                .collect();
-            for row in chunk {
-                for (b, v) in builders.iter_mut().zip(row.iter()) {
-                    // Keep the clone. Consuming `rows` and moving each cell
-                    // in halves build time, but a column's strings then keep
-                    // the row-major heap addresses they were born with
-                    // instead of being allocated back to back here, which
-                    // measured 2× slower DML and slower SELECTs on the TPC-H
-                    // lake (`tpch_cpu` `dml_p50_ms` 7.5–9 → 15–17 ms).
-                    b.push(v.clone());
-                }
-            }
-            let columns: Vec<ColumnChunk> =
-                builders.into_iter().map(ColumnBuilder::finish).collect();
+            let columns = chunks_from_rows(&self.schema, chunk);
             let id = self.next_partition_id;
             self.next_partition_id += 1;
             let p = MicroPartition::from_chunks_with_prefix(
@@ -489,7 +471,10 @@ mod tests {
             .target_rows_per_partition(per_part)
             .layout(layout);
         for i in 0..100i64 {
-            b.push_row(vec![Value::Int(97 - i), Value::Str(format!("row{i}"))]);
+            b.push_row(vec![
+                Value::Int(97 - i),
+                Value::Str(format!("row{i}").into()),
+            ]);
         }
         b.build()
     }

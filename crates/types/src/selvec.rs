@@ -60,7 +60,7 @@ impl SelVec {
     /// primitive behind every predicate kernel: monomorphized per call
     /// site so each typed test compiles to a tight loop.
     #[inline]
-    pub fn retain(&mut self, test: impl Fn(usize) -> bool) {
+    pub fn retain(&mut self, mut test: impl FnMut(usize) -> bool) {
         match self {
             SelVec::All(range) => {
                 let mut rows = Vec::with_capacity(range.len());

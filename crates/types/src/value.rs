@@ -7,6 +7,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -50,13 +51,16 @@ impl fmt::Display for ScalarType {
 }
 
 /// A single SQL scalar value.
+///
+/// Strings are shared: cloning a `Str` bumps a reference count, so copying
+/// a string cell out of a column chunk into a row never allocates.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Value {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
     /// Days since the Unix epoch.
     Date(i32),
     /// Microseconds since the Unix epoch.
@@ -91,7 +95,7 @@ impl Value {
             (Value::Float(a), Value::Float(b)) => Some(a.total_cmp(b)),
             (Value::Int(a), Value::Float(b)) => Some(cmp_i64_f64(*a, *b)),
             (Value::Float(a), Value::Int(b)) => Some(cmp_i64_f64(*b, *a).reverse()),
-            (Value::Str(a), Value::Str(b)) => Some(a.as_str().cmp(b.as_str())),
+            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
             (Value::Timestamp(a), Value::Timestamp(b)) => Some(a.cmp(b)),
             _ => None,
@@ -286,12 +290,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {

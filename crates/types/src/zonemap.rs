@@ -161,9 +161,10 @@ impl ZoneMap {
 /// original, so it remains a valid lower bound; it is inexact if shortened.
 fn truncate_lower(v: &Value, prefix: usize) -> (Value, bool) {
     match v {
-        Value::Str(s) if s.chars().count() > prefix => {
-            (Value::Str(s.chars().take(prefix).collect()), false)
-        }
+        Value::Str(s) if s.chars().count() > prefix => (
+            Value::from(s.chars().take(prefix).collect::<String>()),
+            false,
+        ),
         other => (other.clone(), true),
     }
 }
@@ -179,7 +180,10 @@ fn truncate_upper(v: &Value, prefix: usize) -> (Option<Value>, bool) {
             while let Some(&c) = chars.last() {
                 if let Some(next) = char::from_u32(c as u32 + 1) {
                     *chars.last_mut().unwrap() = next;
-                    return (Some(Value::Str(chars.into_iter().collect())), false);
+                    return (
+                        Some(Value::from(chars.into_iter().collect::<String>())),
+                        false,
+                    );
                 }
                 chars.pop();
             }
@@ -222,7 +226,10 @@ mod tests {
     fn string_truncation_stays_conservative() {
         let long_lo = "aaaaaaaaaa-suffix-low".to_owned();
         let long_hi = "zzzz-very-long-string-suffix".to_owned();
-        let vals = vec![Value::Str(long_lo.clone()), Value::Str(long_hi.clone())];
+        let vals = vec![
+            Value::Str(long_lo.clone().into()),
+            Value::Str(long_hi.clone().into()),
+        ];
         let zm = ZoneMap::build(&vals, 4);
         let min = zm.min.as_ref().unwrap().as_str().unwrap().to_owned();
         let max = zm.max.as_ref().unwrap().as_str().unwrap().to_owned();
@@ -234,7 +241,7 @@ mod tests {
     #[test]
     fn upper_truncation_carry() {
         let s: String = std::iter::repeat_n(char::MAX, 6).collect();
-        let (v, exact) = truncate_upper(&Value::Str(s), 3);
+        let (v, exact) = truncate_upper(&Value::Str(s.into()), 3);
         assert_eq!(v, None);
         assert!(!exact);
     }

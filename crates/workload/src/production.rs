@@ -95,7 +95,8 @@ fn dim_schema() -> Schema {
 /// mix is what produces the Figure 4 shape (a large well-clustered share
 /// pruning ≥90%, a long tail pruning nothing).
 fn build_tables(catalog: &Catalog, cfg: &WorkloadConfig, rng: &mut StdRng) {
-    let categories = ["web", "mobile", "batch", "iot", "ops", "ml"];
+    // Built once: rows clone a shared string instead of allocating one.
+    let categories = ["web", "mobile", "batch", "iot", "ops", "ml"].map(Value::from);
     let rows = cfg.rows_per_partition * cfg.fact_partitions;
     for (name, layout) in [
         ("events_clustered", Layout::ClusterBy(vec!["ts".into()])),
@@ -119,9 +120,9 @@ fn build_tables(catalog: &Catalog, cfg: &WorkloadConfig, rng: &mut StdRng) {
             b.push_row(vec![
                 Value::Int(ts),
                 Value::Int(rng.random_range(0..100_000)),
-                Value::Str(categories[rng.random_range(0..categories.len())].into()),
+                categories[rng.random_range(0..categories.len())].clone(),
                 Value::Int(rng.random_range(0..1_000_000)),
-                Value::Str(format!("name-{:06}", rng.random_range(0..100_000))),
+                Value::from(format!("name-{:06}", rng.random_range(0..100_000))),
             ]);
         }
         catalog.register(b.build());
@@ -133,7 +134,7 @@ fn build_tables(catalog: &Catalog, cfg: &WorkloadConfig, rng: &mut StdRng) {
             // dimension filters produce key sets whose range excludes most
             // key-clustered fact partitions.
             Value::Int(i),
-            Value::Str(format!("label-{i}")),
+            Value::from(format!("label-{i}")),
             Value::Int(rng.random_range(0..100)),
         ]);
     }
@@ -489,7 +490,7 @@ pub fn production_scale(cfg: &ProductionScaleConfig, seed: u64) -> ProductionSca
     for i in 0..256i64 {
         dim.push_row(vec![
             Value::Int(i),
-            Value::Str(format!("tenant-{i}")),
+            Value::from(format!("tenant-{i}")),
             Value::Int(i % 100),
         ]);
     }

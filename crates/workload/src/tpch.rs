@@ -111,6 +111,17 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
     let n_suppliers = ((10_000.0 * sf) as i64).max(5);
     let start = date(START.0, START.1, START.2);
     let end = date(END.0, END.1, END.2);
+    // Low-cardinality columns draw from vocabularies built once: a row
+    // clones a shared string instead of allocating its own.
+    let segments = SEGMENTS.map(Value::from);
+    let priorities = PRIORITIES.map(Value::from);
+    let shipmodes = SHIPMODES.map(Value::from);
+    let instructions = INSTRUCTIONS.map(Value::from);
+    let containers = CONTAINERS.map(Value::from);
+    let order_status = ["F", "O", "P"].map(Value::from);
+    let return_flags = ["R", "A", "N"].map(Value::from);
+    // Indexed by `ship > 1995-06-17`.
+    let line_status = ["F", "O"].map(Value::from);
 
     // region + nation (fixed size).
     let mut region = TableBuilder::new("region", region_schema()).target_rows_per_partition(5);
@@ -125,7 +136,7 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
     for i in 0..25i64 {
         nation.push_row(vec![
             Value::Int(i),
-            Value::Str(format!("NATION{i:02}")),
+            Value::from(format!("NATION{i:02}")),
             Value::Int(i % 5),
         ]);
     }
@@ -137,7 +148,7 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
     for i in 0..n_suppliers {
         supplier.push_row(vec![
             Value::Int(i),
-            Value::Str(format!("Supplier#{i:09}")),
+            Value::from(format!("Supplier#{i:09}")),
             Value::Int(rng.random_range(0..25)),
             Value::Float(rng.random_range(-999.99..9999.99)),
         ]);
@@ -150,11 +161,11 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
     for i in 0..n_customers {
         customer.push_row(vec![
             Value::Int(i),
-            Value::Str(format!("Customer#{i:09}")),
+            Value::from(format!("Customer#{i:09}")),
             Value::Int(rng.random_range(0..25)),
-            Value::Str(SEGMENTS[rng.random_range(0..5usize)].into()),
+            segments[rng.random_range(0..5usize)].clone(),
             Value::Float(rng.random_range(-999.99..9999.99)),
-            Value::Str(format!(
+            Value::from(format!(
                 "{}-{:03}-{:03}-{:04}",
                 rng.random_range(10..35),
                 rng.random_range(100..1000),
@@ -182,15 +193,15 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
         );
         part.push_row(vec![
             Value::Int(i),
-            Value::Str(name),
-            Value::Str(format!(
+            Value::from(name),
+            Value::from(format!(
                 "Brand#{}{}",
                 rng.random_range(1..6),
                 rng.random_range(1..6)
             )),
-            Value::Str(ty),
+            Value::from(ty),
             Value::Int(rng.random_range(1..51)),
-            Value::Str(CONTAINERS[rng.random_range(0..CONTAINERS.len())].into()),
+            containers[rng.random_range(0..CONTAINERS.len())].clone(),
             Value::Float(900.0 + (i % 1000) as f64 / 10.0),
         ]);
     }
@@ -230,17 +241,17 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
         .layout(lineitem_layout);
     for ok in 0..n_orders {
         let odate = rng.random_range(start..end - 151);
-        let status = ["F", "O", "P"][rng.random_range(0..3usize)];
+        let status = order_status[rng.random_range(0..3usize)].clone();
         orders.push_row(vec![
             Value::Int(ok),
             Value::Int(rng.random_range(0..n_customers)),
-            Value::Str(status.into()),
+            status,
             Value::Float(rng.random_range(1000.0..500_000.0)),
             Value::Date(odate),
-            Value::Str(PRIORITIES[rng.random_range(0..5usize)].into()),
+            priorities[rng.random_range(0..5usize)].clone(),
             // Clerk ids span 0..100000 so prefix predicates like
             // `Clerk#00000%` select ~10% rather than everything.
-            Value::Str(format!("Clerk#{:09}", rng.random_range(0..100_000))),
+            Value::from(format!("Clerk#{:09}", rng.random_range(0..100_000))),
         ]);
         let lines = rng.random_range(1..8);
         for _ in 0..lines {
@@ -255,13 +266,13 @@ pub fn generate_tpch(cfg: &TpchConfig) -> Catalog {
                 Value::Float(rng.random_range(900.0..105_000.0)),
                 Value::Float(rng.random_range(0..11) as f64 / 100.0),
                 Value::Float(rng.random_range(0..9) as f64 / 100.0),
-                Value::Str(["R", "A", "N"][rng.random_range(0..3usize)].into()),
-                Value::Str(if ship > date(1995, 6, 17) { "O" } else { "F" }.into()),
+                return_flags[rng.random_range(0..3usize)].clone(),
+                line_status[usize::from(ship > date(1995, 6, 17))].clone(),
                 Value::Date(ship),
                 Value::Date(commit),
                 Value::Date(receipt),
-                Value::Str(INSTRUCTIONS[rng.random_range(0..4usize)].into()),
-                Value::Str(SHIPMODES[rng.random_range(0..7usize)].into()),
+                instructions[rng.random_range(0..4usize)].clone(),
+                shipmodes[rng.random_range(0..7usize)].clone(),
             ]);
         }
     }

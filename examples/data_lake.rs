@@ -20,7 +20,7 @@ fn main() {
         .map(|i| {
             vec![
                 Value::Int(20_000 + i / 1_000), // ~100 distinct dates, sorted
-                Value::Str(format!("sensor-{:04}", i % 500)),
+                Value::Str(format!("sensor-{:04}", i % 500).into()),
                 Value::Int((i * 37) % 100_000),
             ]
         })

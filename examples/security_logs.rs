@@ -24,12 +24,9 @@ fn main() {
     for i in 0..200_000i64 {
         b.push_row(vec![
             Value::Timestamp(1_700_000_000_000_000 + i * 1_000_000),
-            Value::Str(format!(
-                "10.{}.{}.{}",
-                (i * 7) % 256,
-                (i * 13) % 256,
-                (i * 29) % 256
-            )),
+            Value::Str(
+                format!("10.{}.{}.{}", (i * 7) % 256, (i * 13) % 256, (i * 29) % 256).into(),
+            ),
             Value::Str(actions[(i % 5) as usize].into()),
             Value::Int((i * 11) % 10),
             Value::Int((i * 97) % 1_000_000),

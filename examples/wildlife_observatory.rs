@@ -35,8 +35,8 @@ fn build_catalog() -> Catalog {
             format!("Basecamp-{}", i % 700)
         };
         trails.push_row(vec![
-            Value::Str(format!("M{:02}", i % 40)),
-            Value::Str(name),
+            Value::Str(format!("M{:02}", i % 40).into()),
+            Value::Str(name.into()),
             Value::Str(unit.into()),
             Value::Int(400 + (i * 13) % 7_300),
         ]);
@@ -64,7 +64,7 @@ fn build_catalog() -> Catalog {
         .layout(Layout::ClusterBy(vec!["num_sightings".into()]));
     for i in 0..40_000i64 {
         tracking.push_row(vec![
-            Value::Str(format!("M{:02}", i % 40)),
+            Value::Str(format!("M{:02}", i % 40).into()),
             Value::Str(species[(i % 8) as usize].into()),
             Value::Int(4 + (i * 7) % 130),
             Value::Int((i * 131) % 100_000),

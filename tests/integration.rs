@@ -20,7 +20,7 @@ fn sensor_catalog() -> Catalog {
     for i in 0..25_000i64 {
         b.push_row(vec![
             Value::Int(i / 100),
-            Value::Str(format!("s{:03}", i % 200)),
+            Value::Str(format!("s{:03}", i % 200).into()),
             Value::Int((i * 7919) % 1_000_000),
         ]);
     }
