@@ -193,13 +193,16 @@ fn walk_inner(plan: &Plan, path: &mut Vec<String>, diags: &mut Vec<Diagnostic>) 
             let bt = key_field(&bs, build_key, "build");
             let pt = key_field(&ps, probe_key, "probe");
             if let (Some(bt), Some(pt)) = (bt, pt) {
-                if !bt.comparable_with(pt) {
+                // The hash join indexes and probes keys by structural
+                // equality, under which `Int(1) != Float(1.0)`: keys of
+                // different types never meet, even numeric ones.
+                if bt != pt {
                     diags.push(Diagnostic::error(
                         DiagCode::JoinKeyMismatch,
                         at,
                         format!(
-                            "join keys `{build_key}` ({bt}) and `{probe_key}` ({pt}) can \
-                             never compare equal: the join matches no pair"
+                            "join keys `{build_key}` ({bt}) and `{probe_key}` ({pt}) differ \
+                             in type: the hash join matches keys of one type only"
                         ),
                     ));
                 }

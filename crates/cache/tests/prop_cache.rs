@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use snowprune_cache::{CacheEntry, CacheLookup, DmlKind, EntryKind, PredicateCache, ShapeKey};
 use snowprune_expr::dsl::{col, lit};
-use snowprune_expr::{eval_truths_range, selection_indices, Expr};
+use snowprune_expr::{eval_predicate, Expr};
 use snowprune_storage::{Field, Layout, PartitionId, Schema, Table, TableBuilder};
 use snowprune_types::{LiteralRange, RangeBound, ScalarType, Value};
 
@@ -74,7 +74,9 @@ fn qualifying_pairs(table: &Table, pred: Option<&Expr>) -> Vec<(i64, PartitionId
     for id in table.partition_ids() {
         let part = table.partition(id).unwrap();
         let sel: Vec<usize> = match &bound {
-            Some(p) => selection_indices(&eval_truths_range(p, &part, 0, part.row_count())),
+            Some(p) => (0..part.row_count())
+                .filter(|&i| eval_predicate(p, &part.row(i)).qualifies())
+                .collect(),
             None => (0..part.row_count()).collect(),
         };
         for i in sel {

@@ -221,12 +221,14 @@ impl RangeSetSummary {
 }
 
 /// Numeric projection of the gap between consecutive sorted values, used to
-/// pick which gaps stay open when merging down to the budget.
+/// pick which gaps stay open when merging down to the budget. Operands are
+/// converted to `f64` before subtracting: the result is only a ranking
+/// key, and an integer difference can overflow (`i64::MAX - i64::MIN`).
 fn gap_size(a: &Value, b: &Value) -> f64 {
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => (y - x) as f64,
-        (Value::Date(x), Value::Date(y)) => (y - x) as f64,
-        (Value::Timestamp(x), Value::Timestamp(y)) => (y - x) as f64,
+        (Value::Int(x), Value::Int(y)) => *y as f64 - *x as f64,
+        (Value::Date(x), Value::Date(y)) => *y as f64 - *x as f64,
+        (Value::Timestamp(x), Value::Timestamp(y)) => *y as f64 - *x as f64,
         (Value::Float(x), Value::Float(y)) => y - x,
         (Value::Int(x), Value::Float(y)) => y - *x as f64,
         (Value::Float(x), Value::Int(y)) => *y as f64 - x,
@@ -404,6 +406,33 @@ mod tests {
         assert!(s.might_overlap(&zm(400, 600)));
         assert!(!s.might_overlap(&zm(501, 900)));
         assert!(!s.might_overlap(&zm(-10, 0)));
+    }
+
+    #[test]
+    fn range_set_ranks_gaps_across_the_whole_int_range() {
+        let ranges = |keys: &[i64]| match JoinSummary::build(
+            &ints(keys),
+            SummaryKind::RangeSet { budget: 2 },
+        ) {
+            JoinSummary::RangeSet(rs) => rs.ranges,
+            other => panic!("{other:?}"),
+        };
+        // Gaps of 2^63 + 1 and 2^63 - 3 do not fit an i64; the 1-wide gap
+        // between 1 and 2 is the one that closes.
+        let wide = ranges(&[i64::MIN, 1, 2, i64::MAX]);
+        assert_eq!(wide.len(), 2, "{wide:?}");
+        assert!(
+            wide.contains(&(Value::Int(i64::MIN), Value::Int(i64::MIN)))
+                || wide.contains(&(Value::Int(i64::MAX), Value::Int(i64::MAX)))
+        );
+        // The 2^63 gap below 0 outranks the 10 above it.
+        assert_eq!(
+            ranges(&[i64::MIN, 0, 10, 11]),
+            vec![
+                (Value::Int(i64::MIN), Value::Int(i64::MIN)),
+                (Value::Int(0), Value::Int(11)),
+            ]
+        );
     }
 
     #[test]

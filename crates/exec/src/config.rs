@@ -99,8 +99,8 @@ pub struct ExecConfig {
     pub batch_native: bool,
     /// Run the static plan verifier (`snowprune-analyze`) at admission:
     /// before morsel generation, every plan is schema-resolved and
-    /// type-checked and the engine invariants (sort-key validity, join-key
-    /// comparability, aggregate input typing) are enforced. Plans with any
+    /// type-checked and the engine invariants (sort-key validity, one type
+    /// per join-key pair, aggregate input typing) are enforced. Plans with any
     /// error-severity diagnostic are rejected with
     /// [`snowprune_types::Error::PlanRejected`]. On by default — the
     /// analyzer is sound (zero false positives on every valid plan), so

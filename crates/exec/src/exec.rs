@@ -310,8 +310,8 @@ impl Executor {
     /// Besides the structural [`Plan::check`] errors, when
     /// [`ExecConfig::verify_plans`] is set (the default) the static plan
     /// analyzer runs at admission and ill-formed plans — unresolvable
-    /// columns, provably-degenerate predicate typing, incomparable join
-    /// keys, empty sort keys, mistyped aggregate inputs — are rejected
+    /// columns, provably-degenerate predicate typing, join keys of two
+    /// types, empty sort keys, mistyped aggregate inputs — are rejected
     /// with [`Error::PlanRejected`] before any morsel is generated.
     pub fn run(&self, plan: &Plan) -> Result<QueryOutput> {
         plan.check()?;

@@ -1,10 +1,11 @@
-//! Expression evaluation: row-at-a-time scalar evaluation and vectorized
-//! predicate evaluation over micro-partitions, both under SQL's Kleene
-//! three-valued logic.
+//! Expression evaluation: row-at-a-time scalar evaluation under SQL's
+//! Kleene three-valued logic. This is the reference semantics: the batch
+//! kernels ([`crate::kernel`]) must select exactly the rows on which
+//! [`eval_predicate`] is `TRUE`, and every comparison goes through
+//! [`Value::sql_cmp`].
 
 use std::cmp::Ordering;
 
-use snowprune_storage::{ColumnValues, MicroPartition};
 use snowprune_types::{arith, Value};
 
 use crate::ast::{ArithOp, CmpOp, Expr};
@@ -215,159 +216,12 @@ pub(crate) fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-/// Vectorized predicate evaluation over partition rows `start..start +
-/// len`: one [`Truth`] per row, element `j` for row `start + j`. Common
-/// shapes (`column <op> literal` on primitive types, boolean combinators)
-/// take typed fast paths; everything else falls back to row-at-a-time
-/// evaluation. Batches evaluate only their own row window instead of the
-/// whole partition.
-pub fn eval_truths_range(
-    expr: &Expr,
-    part: &MicroPartition,
-    start: usize,
-    len: usize,
-) -> Vec<Truth> {
-    match expr {
-        Expr::And(xs) => {
-            let mut acc = vec![Truth::True; len];
-            for x in xs {
-                let t = eval_truths_range(x, part, start, len);
-                for (a, b) in acc.iter_mut().zip(t) {
-                    *a = a.and(b);
-                }
-            }
-            acc
-        }
-        Expr::Or(xs) => {
-            let mut acc = vec![Truth::False; len];
-            for x in xs {
-                let t = eval_truths_range(x, part, start, len);
-                for (a, b) in acc.iter_mut().zip(t) {
-                    *a = a.or(b);
-                }
-            }
-            acc
-        }
-        Expr::Not(x) => {
-            let mut t = eval_truths_range(x, part, start, len);
-            for v in &mut t {
-                *v = v.not();
-            }
-            t
-        }
-        Expr::IsNull(inner) => {
-            if let Expr::Column(c) = inner.as_ref() {
-                let chunk = part.column(c.index);
-                return (start..start + len)
-                    .map(|i| Truth::from_bool(!chunk.is_valid(i)))
-                    .collect();
-            }
-            fallback_truths(expr, part, start, len)
-        }
-        Expr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Column(c), Expr::Literal(v)) => {
-                cmp_column_literal(part, c.index, *op, v, start, len)
-            }
-            (Expr::Literal(v), Expr::Column(c)) => {
-                cmp_column_literal(part, c.index, op.flip(), v, start, len)
-            }
-            _ => fallback_truths(expr, part, start, len),
-        },
-        _ => fallback_truths(expr, part, start, len),
-    }
-}
-
-fn fallback_truths(expr: &Expr, part: &MicroPartition, start: usize, len: usize) -> Vec<Truth> {
-    (start..start + len)
-        .map(|i| {
-            let row = part.row(i);
-            eval_predicate(expr, &row)
-        })
-        .collect()
-}
-
-fn cmp_column_literal(
-    part: &MicroPartition,
-    col: usize,
-    op: CmpOp,
-    lit: &Value,
-    start: usize,
-    len: usize,
-) -> Vec<Truth> {
-    let chunk = part.column(col);
-    if lit.is_null() {
-        return vec![Truth::Unknown; len];
-    }
-    let rows = start..start + len;
-    macro_rules! typed_loop {
-        ($vals:expr, $litv:expr) => {{
-            let lv = $litv;
-            rows.map(|i| {
-                if !chunk.is_valid(i) {
-                    Truth::Unknown
-                } else {
-                    Truth::from_bool(cmp_holds(op, $vals[i].partial_cmp(&lv).unwrap()))
-                }
-            })
-            .collect()
-        }};
-    }
-    match (chunk.values(), lit) {
-        (ColumnValues::Int(vals), Value::Int(l)) => typed_loop!(vals, *l),
-        (ColumnValues::Date(vals), Value::Date(l)) => typed_loop!(vals, *l),
-        (ColumnValues::Timestamp(vals), Value::Timestamp(l)) => typed_loop!(vals, *l),
-        (ColumnValues::Float(vals), _) if lit.as_f64().is_some() => {
-            let l = lit.as_f64().unwrap();
-            rows.map(|i| {
-                if !chunk.is_valid(i) {
-                    Truth::Unknown
-                } else {
-                    Truth::from_bool(cmp_holds(op, vals[i].total_cmp(&l)))
-                }
-            })
-            .collect()
-        }
-        (ColumnValues::Int(vals), Value::Float(_)) => {
-            let l = lit.clone();
-            rows.map(|i| {
-                if !chunk.is_valid(i) {
-                    Truth::Unknown
-                } else {
-                    eval_cmp(op, &Value::Int(vals[i]), &l)
-                }
-            })
-            .collect()
-        }
-        (ColumnValues::Str(vals), Value::Str(l)) => rows
-            .map(|i| {
-                if !chunk.is_valid(i) {
-                    Truth::Unknown
-                } else {
-                    Truth::from_bool(cmp_holds(op, vals[i].cmp(l)))
-                }
-            })
-            .collect(),
-        _ => rows
-            .map(|i| eval_cmp(op, &chunk.value_at(i), lit))
-            .collect(),
-    }
-}
-
-/// Indices of rows whose truth value qualifies (TRUE).
-// TEST-API: the oracle prop_kernel and prop_cache compare `select_range` against.
-pub fn selection_indices(truths: &[Truth]) -> Vec<usize> {
-    truths
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| t.qualifies().then_some(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::dsl::*;
-    use snowprune_storage::{ColumnBuilder, Field, Schema};
+    use crate::kernel::select_range;
+    use snowprune_storage::{ColumnBuilder, Field, MicroPartition, Schema};
     use snowprune_types::ScalarType;
 
     #[test]
@@ -406,16 +260,24 @@ mod tests {
         MicroPartition::from_chunks(0, &schema(), vec![xs.finish(), ss.finish()])
     }
 
+    /// Row-at-a-time truth values of `e` over every row of `p`.
+    fn truths(e: &Expr, p: &MicroPartition) -> Vec<Truth> {
+        (0..p.row_count())
+            .map(|i| eval_predicate(e, &p.row(i)))
+            .collect()
+    }
+
     #[test]
     fn three_valued_where() {
         let p = part();
         let e = col("x").gt(lit(2i64)).bind(&schema()).unwrap();
-        let t = eval_truths_range(&e, &p, 0, p.row_count());
+        let t = truths(&e, &p);
         assert_eq!(
             t,
             vec![Truth::False, Truth::True, Truth::Unknown, Truth::True]
         );
-        assert_eq!(selection_indices(&t), vec![1, 3]);
+        // Only TRUE qualifies: the kernel selects rows 1 and 3.
+        assert_eq!(select_range(&e, &p, 0, p.row_count()).to_vec(), vec![1, 3]);
     }
 
     #[test]
@@ -429,16 +291,13 @@ mod tests {
             .and(col("s").like("al%"))
             .bind(&schema())
             .unwrap();
-        let t = eval_truths_range(&e, &p, 0, p.row_count());
         assert_eq!(
-            t,
+            truths(&e, &p),
             vec![Truth::False, Truth::Unknown, Truth::False, Truth::True]
         );
         // NOT of unknown is unknown; selection excludes it either way.
-        let ne = e.not();
-        let nt = eval_truths_range(&ne, &p, 0, p.row_count());
         assert_eq!(
-            nt,
+            truths(&e.not(), &p),
             vec![Truth::True, Truth::Unknown, Truth::True, Truth::False]
         );
     }
@@ -450,11 +309,10 @@ mod tests {
             .ge(lit(10i64))
             .bind(&schema())
             .unwrap();
-        let fast = eval_truths_range(&e, &p, 0, p.row_count());
-        let slow: Vec<Truth> = (0..p.row_count())
-            .map(|i| eval_predicate(&e, &p.row(i)))
+        let slow: Vec<usize> = (0..p.row_count())
+            .filter(|&i| eval_predicate(&e, &p.row(i)).qualifies())
             .collect();
-        assert_eq!(fast, slow);
+        assert_eq!(select_range(&e, &p, 0, p.row_count()).to_vec(), slow);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Selection-vector predicate kernels: tight typed loops over column
 //! slices that refine a [`SelVec`] in place.
 //!
-//! This is the batch-at-a-time counterpart of
-//! [`eval_truths_range`](crate::eval_truths_range): instead of
-//! materializing a `Vec<Truth>` per row, a predicate is split into conjuncts
+//! This is the batch-at-a-time counterpart of row-at-a-time
+//! [`eval_predicate`]: a predicate is split into conjuncts
 //! ([`Expr::split_conjunction`]) and each conjunct *filters* the current
 //! selection. Eligible conjuncts (`column <op> literal` on primitive
 //! types, `column IS NULL`) run as monomorphized loops directly over the
@@ -13,12 +12,15 @@
 //!
 //! Equivalence contract (checked by `tests/prop_kernel.rs`): for any bound
 //! predicate `p`, partition `part`, and row window `start..start+len`,
+//! `select_range(p, part, start, len)` holds exactly the rows `i` of the
+//! window with `eval_predicate(p, &part.row(i)) == Truth::True`.
 //!
-//! ```text
-//! select_range(p, part, start, len).to_vec()
-//!   == selection_indices(eval_truths_range(p, part, start, len))
-//!         .map(|j| j + start)
-//! ```
+//! Typed arms exist only where the column and the literal have the same
+//! type: there the native order is [`Value::sql_cmp`]'s (`Ord` for
+//! integers, dates, timestamps and strings, `total_cmp` for floats). Every
+//! cross-type comparison takes the generic arm, which calls `sql_cmp`
+//! itself, so rows, batches and zone-map verdicts share one comparison
+//! definition.
 //!
 //! Under SQL WHERE semantics only `TRUE` qualifies, so refining by each
 //! conjunct in turn (keep a row iff the conjunct is `TRUE` on it) is
@@ -85,10 +87,10 @@ fn refine_scalar(conjunct: &Expr, part: &MicroPartition, sel: &mut SelVec) {
     });
 }
 
-/// `column <op> literal` kernels. The arm order mirrors
-/// `eval::cmp_column_literal` exactly so vectorized and truth-vector
-/// evaluation agree on every input, including NaN (`total_cmp`) and
-/// int/float cross-type comparisons.
+/// `column <op> literal` kernels. A typed arm runs only when the literal
+/// has the column's type, so its native order is `sql_cmp`'s; every other
+/// pairing (Int column vs Float literal and the reverse included) takes
+/// the generic `sql_cmp` arm.
 fn refine_cmp(part: &MicroPartition, col: usize, op: CmpOp, lit: &Value, sel: &mut SelVec) {
     let chunk = part.column(col);
     if lit.is_null() {
@@ -110,14 +112,9 @@ fn refine_cmp(part: &MicroPartition, col: usize, op: CmpOp, lit: &Value, sel: &m
             let l = *l;
             keep_valid(sel, validity, |i| cmp_holds(op, vals[i].cmp(&l)));
         }
-        (ColumnValues::Float(vals), _) if lit.as_f64().is_some() => {
-            let l = lit.as_f64().unwrap();
+        (ColumnValues::Float(vals), Value::Float(l)) => {
+            let l = *l;
             keep_valid(sel, validity, |i| cmp_holds(op, vals[i].total_cmp(&l)));
-        }
-        (ColumnValues::Int(vals), Value::Float(_)) => {
-            keep_valid(sel, validity, |i| {
-                eval_cmp(op, &Value::Int(vals[i]), lit).qualifies()
-            });
         }
         // A string chunk is dictionary-encoded: each distinct value is
         // compared at most once, on the first selected row that holds it,
@@ -169,7 +166,6 @@ fn keep(sel: &mut SelVec, test: impl FnMut(usize) -> bool) {
 mod tests {
     use super::*;
     use crate::ast::dsl::*;
-    use crate::eval::{eval_truths_range, selection_indices};
     use snowprune_storage::{ColumnBuilder, Field, Schema};
     use snowprune_types::ScalarType;
 
@@ -199,10 +195,11 @@ mod tests {
         MicroPartition::from_chunks(0, &schema(), vec![xs.finish(), fs.finish(), ss.finish()])
     }
 
+    /// The row-at-a-time reference: rows of the window on which `pred` is
+    /// `TRUE`.
     fn oracle(pred: &Expr, part: &MicroPartition, start: usize, len: usize) -> Vec<usize> {
-        selection_indices(&eval_truths_range(pred, part, start, len))
-            .into_iter()
-            .map(|j| j + start)
+        (start..start + len)
+            .filter(|&i| eval_predicate(pred, &part.row(i)).qualifies())
             .collect()
     }
 
@@ -213,6 +210,8 @@ mod tests {
         let preds = [
             col("x").gt(lit(2i64)).bind(&s).unwrap(),
             col("f").le(lit(1.0)).bind(&s).unwrap(),
+            col("f").ge(lit(0i64)).bind(&s).unwrap(),
+            col("x").lt(lit(9.5)).bind(&s).unwrap(),
             col("s").ge(lit("b")).bind(&s).unwrap(),
             col("x").between(lit(2i64), lit(10i64)).bind(&s).unwrap(),
             col("x").is_null().bind(&s).unwrap(),

@@ -1,6 +1,7 @@
 //! Expressions for `snowprune`: predicate/scalar ASTs, three-valued
-//! evaluation (scalar and vectorized), min/max range derivation through
-//! complex expressions, imprecise filter rewrites, and pruning verdicts.
+//! evaluation (row-at-a-time and batch kernels), min/max range derivation
+//! through complex expressions, imprecise filter rewrites, and pruning
+//! verdicts.
 //!
 //! The modules map directly onto §3.1 and §4.2 of the paper:
 //!
@@ -21,8 +22,6 @@ pub mod pruneval;
 pub mod rewrite;
 
 pub use ast::{dsl, ArithOp, CmpOp, ColumnRef, Expr};
-pub use eval::{
-    eval_predicate, eval_truths_range, eval_value, like_match, selection_indices, Truth,
-};
+pub use eval::{eval_predicate, eval_value, like_match, Truth};
 pub use pruneval::{derive_range, prune_eval};
 pub use rewrite::{analyze_like, prefix_successor, widen_for_pruning, LikeShape};

@@ -2,21 +2,29 @@
 //! typed columns with NULLs (all six scalar types), arbitrary generated
 //! predicates, and arbitrary row windows, the batch kernel path
 //! ([`snowprune_expr::kernel::select_range`] — typed loops plus the
-//! scalar fallback) must agree *exactly* with scalar Kleene evaluation
-//! ([`eval_truths_range`] + [`selection_indices`]), including NaN
-//! ordering, int/float cross-type comparisons, and NULL literals. The
-//! compositional form ([`snowprune_expr::kernel::refine`] conjunct by
-//! conjunct) must agree with the one-shot form. Column `r` repeats a few
-//! strings, so its chunks have small dictionaries and the string kernel
-//! takes its once-per-dictionary-entry path.
+//! scalar fallback) must select *exactly* the rows on which row-at-a-time
+//! [`eval_predicate`] is `TRUE`, including NaN ordering, int/float
+//! cross-type comparisons, and NULL literals. The int column `a`, the
+//! float column `f` and the numeric literals draw from the edges of the
+//! two number lines (`-0.0`, ±∞, NaN, ±2^53, 2^53 ± 1, `i64::MIN`,
+//! `i64::MAX`, `i64::MAX as f64`), where a lossy `as f64` comparison and
+//! an exact one disagree. The compositional form
+//! ([`snowprune_expr::kernel::refine`] conjunct by conjunct) must agree
+//! with the one-shot form. Column `r` repeats a few strings, so its
+//! chunks have small dictionaries and the string kernel takes its
+//! once-per-dictionary-entry path.
 
 use proptest::prelude::*;
 
 use snowprune_expr::ast::{CmpOp, Expr};
+use snowprune_expr::eval_predicate;
 use snowprune_expr::kernel::{refine, select_range};
-use snowprune_expr::{eval_truths_range, selection_indices};
 use snowprune_storage::{ColumnBuilder, Field, MicroPartition, Schema};
 use snowprune_types::{ScalarType, Value};
+
+#[path = "support/edges.rs"]
+mod edges;
+use edges::{float_edge, int_edge};
 
 const COLS: [(&str, ScalarType); 7] = [
     ("a", ScalarType::Int),
@@ -47,6 +55,11 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
             1 => Just(Value::Null),
         ]
     };
+    let edgy_int = prop_oneof![
+        3 => (-20i64..20).prop_map(Value::Int),
+        2 => int_edge(),
+        1 => Just(Value::Null),
+    ];
     let string = prop_oneof![
         3 => "[a-c]{0,5}".prop_map(Value::from),
         1 => Just(Value::Null),
@@ -56,8 +69,8 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
         1 => Just(Value::Null),
     ];
     let float = prop_oneof![
-        4 => (-60i32..60).prop_map(|i| Value::Float(i as f64 / 4.0)),
-        1 => Just(Value::Float(f64::NAN)),
+        3 => (-60i32..60).prop_map(|i| Value::Float(i as f64 / 4.0)),
+        3 => float_edge(),
         1 => Just(Value::Null),
     ];
     let date = prop_oneof![
@@ -69,7 +82,7 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
         1 => Just(Value::Null),
     ];
     (
-        int(-20i64..20),
+        edgy_int,
         int(-500i64..500),
         string,
         float,
@@ -107,13 +120,14 @@ fn predicate() -> impl Strategy<Value = Expr> {
         })
     };
     let int_lit = prop_oneof![
-        6 => (-25i64..25).prop_map(Value::Int),
+        4 => (-25i64..25).prop_map(Value::Int),
+        4 => int_edge(),
         1 => Just(Value::Null),
     ]
     .boxed();
     let float_lit = prop_oneof![
-        5 => (-70i32..70).prop_map(|i| Value::Float(i as f64 / 4.0)),
-        1 => Just(Value::Float(f64::NAN)),
+        4 => (-70i32..70).prop_map(|i| Value::Float(i as f64 / 4.0)),
+        4 => float_edge(),
         1 => Just(Value::Null),
     ]
     .boxed();
@@ -131,7 +145,7 @@ fn predicate() -> impl Strategy<Value = Expr> {
         cmp(bound_col("a"), int_lit.clone()),
         cmp(bound_col("b"), int_lit.clone()),
         // Cross-type comparisons: int column vs float literal and the
-        // float column vs int literal both have dedicated kernel arms.
+        // float column vs int literal take the kernel's generic arm.
         cmp(bound_col("a"), float_lit.clone()),
         cmp(bound_col("f"), float_lit),
         cmp(bound_col("f"), int_lit.clone()),
@@ -190,7 +204,7 @@ fn build_partition(rows: &[Vec<Value>]) -> MicroPartition {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The kernel path equals scalar evaluation on every window.
+    /// The kernel path equals row-at-a-time evaluation on every window.
     #[test]
     fn kernels_match_scalar_eval(
         rows in proptest::collection::vec(row_strategy(), 1..40),
@@ -202,11 +216,9 @@ proptest! {
         let start = raw_start % rows.len();
         let len = raw_len % (rows.len() - start + 1);
         let got = select_range(&pred, &part, start, len).to_vec();
-        let want: Vec<usize> =
-            selection_indices(&eval_truths_range(&pred, &part, start, len))
-                .into_iter()
-                .map(|j| j + start)
-                .collect();
+        let want: Vec<usize> = (start..start + len)
+            .filter(|&i| eval_predicate(&pred, &part.row(i)).qualifies())
+            .collect();
         prop_assert_eq!(
             got, want,
             "kernel diverged from scalar eval: pred={} window {}+{}",

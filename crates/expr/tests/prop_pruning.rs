@@ -10,7 +10,11 @@
 //! 5. Ranges derived for value expressions contain every row's value.
 //!
 //! All hold for arbitrary data, arbitrary (generated) predicates, and
-//! arbitrary string-metadata truncation.
+//! arbitrary string-metadata truncation. A comparison-only leg checks
+//! invariants 1-3 for `column <op> literal` on the int and float columns
+//! at the edges of the two number lines (`-0.0`, ±∞, NaN, ±2^53, …),
+//! where zone-map verdicts and row evaluation must share `sql_cmp`'s
+//! exact int/float order.
 
 use proptest::prelude::*;
 
@@ -18,8 +22,11 @@ use snowprune_expr::ast::{dsl, CmpOp, Expr};
 use snowprune_expr::{derive_range, eval_predicate, eval_value, prune_eval, Truth};
 use snowprune_types::{Value, ZoneMap};
 
+#[path = "support/edges.rs"]
+mod edges;
 #[path = "support/invert.rs"]
 mod invert;
+use edges::{float_edge, int_edge};
 use invert::fully_matching_two_pass;
 
 const COLS: [&str; 4] = ["a", "b", "s", "f"];
@@ -138,6 +145,80 @@ fn predicate() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// One row for the comparison leg: ints `a`, `b` and float `f` drawn from
+/// small values and the number-line edges; `s` is NULL.
+fn edge_row_strategy() -> impl Strategy<Value = Vec<Value>> {
+    let int = || {
+        prop_oneof![
+            3 => (-20i64..20).prop_map(Value::Int),
+            2 => int_edge(),
+            1 => Just(Value::Null),
+        ]
+    };
+    let float = prop_oneof![
+        3 => (-100i32..100).prop_map(|i| Value::Float(i as f64 / 4.0)),
+        3 => float_edge(),
+        1 => Just(Value::Null),
+    ];
+    (int(), int(), float).prop_map(|(a, b, f)| vec![a, b, Value::Null, f])
+}
+
+/// `column <op> literal` in either operand order, over the numeric
+/// columns and int or float literals at the number-line edges.
+fn edge_comparison() -> impl Strategy<Value = Expr> {
+    let column = prop_oneof![
+        Just(bound_col("a")),
+        Just(bound_col("b")),
+        Just(bound_col("f"))
+    ];
+    let literal = prop_oneof![
+        2 => (-25i64..25).prop_map(Value::Int),
+        3 => int_edge(),
+        2 => (-40i32..40).prop_map(|i| Value::Float(i as f64 / 4.0)),
+        3 => float_edge(),
+        1 => Just(Value::Null),
+    ];
+    (column, cmp_op(), literal, any::<bool>()).prop_map(|(c, op, l, flip)| {
+        let l = Box::new(Expr::Literal(l));
+        if flip {
+            Expr::Cmp(op, l, Box::new(c))
+        } else {
+            Expr::Cmp(op, Box::new(c), l)
+        }
+    })
+}
+
+/// Invariants 1-3: every fact the verdict of `pred` on `rows`' zone maps
+/// claims holds for the rows' row-at-a-time truth values.
+fn assert_verdict_sound(pred: &Expr, rows: &[Vec<Value>], prefix: usize) {
+    let meta = zone_maps(rows, prefix);
+    let verdict = prune_eval(pred, &meta);
+    let truths: Vec<Truth> = rows.iter().map(|r| eval_predicate(pred, r)).collect();
+    let any_true = truths.contains(&Truth::True);
+    let all_true = truths.iter().all(|t| *t == Truth::True);
+    let any_false = truths.contains(&Truth::False);
+    let all_false = truths.iter().all(|t| *t == Truth::False);
+
+    if !verdict.may_true {
+        assert!(
+            !any_true,
+            "pruned partition contains qualifying row: pred={pred} verdict={verdict:?}"
+        );
+    }
+    if verdict.all_true {
+        assert!(
+            all_true,
+            "fully-matching partition contains non-qualifying row: pred={pred}"
+        );
+    }
+    if !verdict.may_false {
+        assert!(!any_false, "may_false unsound: pred={pred}");
+    }
+    if verdict.all_false {
+        assert!(all_false, "all_false unsound: pred={pred}");
+    }
+}
+
 fn zone_maps(rows: &[Vec<Value>], string_prefix: usize) -> Vec<ZoneMap> {
     (0..COLS.len())
         .map(|c| {
@@ -157,28 +238,17 @@ proptest! {
         pred in predicate(),
         prefix in prop_oneof![Just(2usize), Just(3), Just(32)],
     ) {
-        let meta = zone_maps(&rows, prefix);
-        let verdict = prune_eval(&pred, &meta);
-        let truths: Vec<Truth> = rows.iter().map(|r| eval_predicate(&pred, r)).collect();
-        let any_true = truths.contains(&Truth::True);
-        let all_true = truths.iter().all(|t| *t == Truth::True);
-        let any_false = truths.contains(&Truth::False);
-        let all_false = truths.iter().all(|t| *t == Truth::False);
+        assert_verdict_sound(&pred, &rows, prefix);
+    }
 
-        if !verdict.may_true {
-            prop_assert!(!any_true,
-                "pruned partition contains qualifying row: pred={pred} verdict={verdict:?}");
-        }
-        if verdict.all_true {
-            prop_assert!(all_true,
-                "fully-matching partition contains non-qualifying row: pred={pred}");
-        }
-        if !verdict.may_false {
-            prop_assert!(!any_false, "may_false unsound: pred={pred}");
-        }
-        if verdict.all_false {
-            prop_assert!(all_false, "all_false unsound: pred={pred}");
-        }
+    /// Invariants 1-3 for comparison-only predicates at the number-line
+    /// edges, where an inexact int/float order would show.
+    #[test]
+    fn comparison_verdict_soundness_at_number_edges(
+        rows in proptest::collection::vec(edge_row_strategy(), 1..8),
+        pred in edge_comparison(),
+    ) {
+        assert_verdict_sound(&pred, &rows, 32);
     }
 
     /// Invariant 4: the two-pass inverted-predicate method is conservative,

@@ -119,8 +119,6 @@ pub struct TopKSpec {
     pub shape: TopKShape,
     /// Table whose scan can consume the boundary.
     pub target_table: String,
-    /// Effective predicates between the TopK operator and the target scan.
-    pub predicates: Vec<Expr>,
 }
 
 /// Detect `Sort + Limit` (top-k) and classify it per Figure 7. Returns
@@ -141,7 +139,7 @@ pub fn detect_topk(plan: &Plan) -> Option<TopKSpec> {
         return None; // ORDER BY over an expression: unsupported for pruning.
     };
     let order_column = c.name.clone();
-    classify(below, &order_column, *k, *offset, *desc, Vec::new(), true)
+    classify(below, &order_column, *k, *offset, *desc, true)
 }
 
 fn classify(
@@ -150,20 +148,12 @@ fn classify(
     k: u64,
     offset: u64,
     desc: bool,
-    mut preds: Vec<Expr>,
     directly_above: bool,
 ) -> Option<TopKSpec> {
     match plan {
-        Plan::Scan {
-            table,
-            schema,
-            predicate,
-        } => {
+        Plan::Scan { table, schema, .. } => {
             if !schema.contains(order_column) {
                 return None;
-            }
-            if let Some(p) = predicate {
-                preds.push(p.clone());
             }
             Some(TopKSpec {
                 k,
@@ -172,20 +162,18 @@ fn classify(
                 desc,
                 shape: TopKShape::AboveScan,
                 target_table: table.clone(),
-                predicates: preds,
             })
         }
         // Figure 7a: filters between scan and TopK are fine — the boundary
         // is built from rows that survive the filter.
-        Plan::Filter { input, predicate } => {
-            preds.push(predicate.clone());
-            classify(input, order_column, k, offset, desc, preds, directly_above)
+        Plan::Filter { input, .. } => {
+            classify(input, order_column, k, offset, desc, directly_above)
         }
         Plan::Project { input, columns } => {
             if !columns.iter().any(|c| c == order_column) {
                 return None;
             }
-            classify(input, order_column, k, offset, desc, preds, directly_above)
+            classify(input, order_column, k, offset, desc, directly_above)
         }
         Plan::Join {
             build,
@@ -197,14 +185,14 @@ fn classify(
             let from_build = build.produces_column(order_column);
             if from_probe && !from_build {
                 // Figure 7b: prune the probe side.
-                let inner = classify(probe, order_column, k, offset, desc, preds, false)?;
+                let inner = classify(probe, order_column, k, offset, desc, false)?;
                 Some(TopKSpec {
                     shape: TopKShape::JoinProbeSide,
                     ..inner
                 })
             } else if from_build && *join_type == JoinType::OuterPreserveBuild {
                 // Figure 7c: replicate TopK to the preserved build side.
-                let inner = classify(build, order_column, k, offset, desc, preds, false)?;
+                let inner = classify(build, order_column, k, offset, desc, false)?;
                 Some(TopKSpec {
                     shape: TopKShape::OuterJoinBuildSide,
                     ..inner
@@ -221,7 +209,7 @@ fn classify(
             if !group_by.iter().any(|g| g == order_column) {
                 return None;
             }
-            let inner = classify(input, order_column, k, offset, desc, preds, false)?;
+            let inner = classify(input, order_column, k, offset, desc, false)?;
             // Only classify as AboveAggregation when the aggregate is the
             // node directly below the TopK (otherwise keep the inner shape).
             Some(TopKSpec {
@@ -234,7 +222,7 @@ fn classify(
             })
         }
         Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-            classify(input, order_column, k, offset, desc, preds, false)
+            classify(input, order_column, k, offset, desc, false)
         }
     }
 }
@@ -632,7 +620,6 @@ mod tests {
             .limit(3)
             .build();
         assert_eq!(detect_topk(&a).unwrap().shape, TopKShape::AboveScan);
-        assert_eq!(detect_topk(&a).unwrap().predicates.len(), 1);
 
         // (b) order column from probe side.
         let b = PlanBuilder::scan("trails", trails())

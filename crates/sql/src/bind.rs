@@ -344,8 +344,10 @@ fn lower_agg(scope: &Scope<'_>, call: &AggCall) -> Result<AggFunc> {
 fn bind_select(s: &SelectStmt, catalog: &Catalog) -> Result<Plan> {
     let (from_name, from_schema) = lookup(&s.from, catalog)?;
 
-    // The span the verifier's (span-free) findings get attached to.
+    // The span the verifier's (span-free) findings get attached to; a
+    // join-key finding points at the ON condition.
     let stmt_span = s.selection.as_ref().map(|e| e.span).unwrap_or(s.from.span);
+    let on_span = s.join.as_ref().map(|j| j.left.span().to(j.right.span()));
 
     let plan = if let Some(j) = &s.join {
         let (probe_name, probe_schema) = lookup(&j.table, catalog)?;
@@ -443,9 +445,10 @@ fn bind_select(s: &SelectStmt, catalog: &Catalog) -> Result<Plan> {
         Err(Error::PlanRejected(diags)) => Err(Error::PlanRejected(
             diags
                 .into_iter()
-                .map(|d| match d.span {
-                    Some(_) => d,
-                    None => d.with_span(stmt_span),
+                .map(|d| match (d.span, on_span) {
+                    (Some(_), _) => d,
+                    (None, Some(on)) if d.code == DiagCode::JoinKeyMismatch => d.with_span(on),
+                    (None, _) => d.with_span(stmt_span),
                 })
                 .collect(),
         )),

@@ -104,7 +104,8 @@ pub enum DiagCode {
     /// `LIKE`/`STARTS WITH` over a provably non-string operand: always
     /// UNKNOWN.
     NonStringPattern,
-    /// Join keys with statically incomparable types: the equi-join can
+    /// Join keys of different types: the hash join matches keys by
+    /// structural equality, so keys of two types (even `Int` and `Float`)
     /// never match a pair.
     JoinKeyMismatch,
     /// `SUM`/`AVG` over a provably non-numeric input column.

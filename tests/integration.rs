@@ -70,6 +70,104 @@ fn pruning_configs_agree_on_results() {
     }
 }
 
+/// Rows of `t(f) WHERE f = literal` over a one-column Float table in
+/// 2-row partitions, under `ExecConfig::default()` and `no_pruning()`.
+fn float_eq_int_rows(values: &[f64], literal: i64) -> [usize; 2] {
+    let schema = Schema::new(vec![Field::new("f", ScalarType::Float)]);
+    let mut b = TableBuilder::new("t", schema.clone()).target_rows_per_partition(2);
+    for v in values {
+        b.push_row(vec![Value::Float(*v)]);
+    }
+    let catalog = Catalog::new();
+    catalog.register(b.build());
+    let plan = PlanBuilder::scan("t", schema)
+        .filter(col("f").eq(lit(literal)))
+        .build();
+    [ExecConfig::default(), ExecConfig::no_pruning()].map(|cfg| {
+        Executor::new(catalog.clone(), cfg)
+            .run(&plan)
+            .unwrap()
+            .rows
+            .len()
+    })
+}
+
+#[test]
+fn negative_zero_equals_int_zero_with_and_without_pruning() {
+    // Under SQL's exact int/float order -0.0 = 0, so the first partition
+    // fully matches and the kernel must agree when it runs.
+    assert_eq!(float_eq_int_rows(&[-0.0, -0.0, 1.0, 2.0], 0), [2, 2]);
+}
+
+#[test]
+fn unrepresentable_int_literal_matches_no_float_with_and_without_pruning() {
+    // 2^53 + 1 has no f64; `as f64` would round it onto 2^53.
+    let rows = float_eq_int_rows(&[9_007_199_254_740_992.0, 1.0, 2.0, 3.0], (1 << 53) + 1);
+    assert_eq!(rows, [0, 0]);
+}
+
+/// `a(i Int) {1, 2}` and `b(f Float) {1.0, 3.0}`.
+fn int_float_catalog() -> Catalog {
+    let catalog = Catalog::new();
+    for (name, col, ty, vals) in [
+        ("a", "i", ScalarType::Int, [Value::Int(1), Value::Int(2)]),
+        (
+            "b",
+            "f",
+            ScalarType::Float,
+            [Value::Float(1.0), Value::Float(3.0)],
+        ),
+    ] {
+        let mut t = TableBuilder::new(name, Schema::new(vec![Field::new(col, ty)]));
+        for v in vals {
+            t.push_row(vec![v]);
+        }
+        catalog.register(t.build());
+    }
+    catalog
+}
+
+#[test]
+fn int_float_join_keys_are_refused_in_a_plan() {
+    use snowprune::types::{DiagCode, Error};
+    let catalog = int_float_catalog();
+    let plan = PlanBuilder::scan("a", schema_of(&catalog, "a"))
+        .join(
+            PlanBuilder::scan("b", schema_of(&catalog, "b")),
+            "i",
+            "f",
+            JoinType::Inner,
+        )
+        .build();
+    match Executor::new(catalog, ExecConfig::default()).run(&plan) {
+        Err(Error::PlanRejected(ds)) => {
+            assert_eq!(ds.len(), 1, "{ds:?}");
+            assert_eq!(ds[0].code, DiagCode::JoinKeyMismatch);
+        }
+        other => panic!("expected a join-key rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn int_float_join_keys_are_refused_in_sql() {
+    let session = Session::new(int_float_catalog(), ExecConfig::default());
+    // The filter form compares exactly and keeps the row...
+    match session.run_sql("SELECT * FROM a WHERE i = 1.0").unwrap() {
+        SqlOutcome::Rows(out) => assert_eq!(out.rows.len(), 1),
+        other => panic!("{other:?}"),
+    }
+    // ...so the join form is refused rather than silently empty.
+    let sql = "SELECT * FROM a JOIN b ON i = f";
+    let err = session.run_sql(sql).unwrap_err();
+    assert_eq!(
+        snowprune::sql::render_error(sql, &err),
+        "error[join-key-type-mismatch] at 1:27: join keys `i` (BIGINT) and `f` (DOUBLE) \
+         differ in type: the hash join matches keys of one type only\n  \
+         SELECT * FROM a JOIN b ON i = f\n                            \
+         ^^^^^"
+    );
+}
+
 #[test]
 fn dml_then_query_sees_new_data_under_pruning() {
     let catalog = sensor_catalog();

@@ -576,8 +576,9 @@ fn lint_pub_fn_callers(root: &Path, violations: &mut Vec<String>) {
 
 /// Lint 7 over `(path, source, linted)` triples: one pass builds an
 /// identifier → occurrence count over every non-test, non-`use` line (a
-/// definition's own name excluded), then each `pub fn` of a linted file
-/// with a count of zero and no `TEST-API:` waiver is reported.
+/// `pub fn`'s own name excluded from its signature and body, so a
+/// recursive call is no caller), then each `pub fn` of a linted file with
+/// a count of zero and no `TEST-API:` waiver is reported.
 fn uncalled_pub_fns(files: &[(&str, &str, bool)], violations: &mut Vec<String>) {
     let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     let mut defs = Vec::new();
@@ -585,6 +586,10 @@ fn uncalled_pub_fns(files: &[(&str, &str, bool)], violations: &mut Vec<String>) 
         let mask = test_region_mask(src);
         let lines: Vec<&str> = src.lines().collect();
         let mut in_use = false;
+        // The `pub fn` whose signature or body the scan is in, with the
+        // brace depth inside it (the same brace counting as
+        // `test_region_mask`).
+        let mut own: Option<(&str, i64)> = None;
         for (i, line) in lines.iter().enumerate() {
             if mask.get(i).copied().unwrap_or(false) {
                 continue;
@@ -597,13 +602,21 @@ fn uncalled_pub_fns(files: &[(&str, &str, bool)], violations: &mut Vec<String>) 
                 continue;
             }
             let def = pub_fn_name(code);
-            let mut skip = def;
+            if let Some(name) = def {
+                own = Some((name, 0));
+            }
             for ident in idents(code) {
-                if skip == Some(ident) {
-                    skip = None;
+                if own.is_some_and(|(name, _)| name == ident) {
                     continue;
                 }
                 *counts.entry(ident).or_insert(0) += 1;
+            }
+            if let Some((_, depth)) = &mut own {
+                *depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+                // The body ends on the line that balances its braces.
+                if *depth <= 0 && code.contains('}') {
+                    own = None;
+                }
             }
             if let (Some(name), true) = (def, linted) {
                 if !waived(&lines, i, "TEST-API:") {
@@ -810,6 +823,32 @@ mod tests {
             &mut v,
         );
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn pub_fn_rule_does_not_count_recursive_calls_as_callers() {
+        let lib = "pub fn walk(\n    n: u32,\n) -> u32 {\n    if n > 0 {\n        walk(n - 1)\n    } else {\n        0\n    }\n}\n\
+                   pub fn used() -> u32 { used_by_main() }\n\
+                   fn used_by_main() -> u32 { 1 }\n";
+        let user = "fn main() {\n    a::used();\n}\n";
+        let mut v = Vec::new();
+        uncalled_pub_fns(
+            &[
+                ("crates/a/src/lib.rs", lib, true),
+                ("src/main.rs", user, false),
+            ],
+            &mut v,
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].starts_with("crates/a/src/lib.rs:1: `pub fn walk`"),
+            "{v:?}"
+        );
+        // A call after the body has closed still counts.
+        let lib = format!("{lib}fn later() -> u32 {{ walk(3) }}\n");
+        let mut v = Vec::new();
+        uncalled_pub_fns(&[("crates/a/src/lib.rs", &lib, true)], &mut v);
+        assert!(v.iter().all(|m| !m.contains("`pub fn walk`")), "{v:?}");
     }
 
     #[test]
