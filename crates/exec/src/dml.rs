@@ -2,8 +2,8 @@
 //!
 //! DELETE and UPDATE keep their `WHERE` as a bound [`Expr`] and visit the
 //! table one partition at a time ([`Table::rewrite_partitions`]). Each
-//! partition is classified from its zone maps alone ([`prune_eval`]), as
-//! a scan's filter pruning would classify it:
+//! partition is classified from its zone maps alone, by the [`FilterPruner`]
+//! that prunes a scan, as that scan would classify it:
 //!
 //! * *not-matching* — carried over as the same `Arc`; no row is read;
 //! * *fully-matching* — every row is selected without evaluating the
@@ -12,17 +12,15 @@
 //!   through the selection kernels ([`select_range`]).
 //!
 //! Rows are materialized only in a partition with a selected row, and the
-//! partition is rebuilt only when the statement deletes a row or changes a
-//! value. A write cannot defer work, so none of `FilterPruner`'s reorder,
-//! cutoff or budget machinery applies. The outcome — [`DmlResult`],
-//! changed-column set and table contents — is what the row-closure API
-//! ([`Table::delete_rows`], [`Table::update_rows_tracked`]) produces with
-//! `eval_predicate` / [`eval_value`]; the SQL property suite checks the two
-//! against each other.
+//! partition is rebuilt only when the statement deletes or changes a row.
+//! A write cannot defer work, so the classifier runs with cutoff off and
+//! no budget. The outcome is what the row-closure API ([`Table::delete_rows`],
+//! [`Table::update_rows_tracked`]) produces, as the SQL property suite checks.
 
 use snowprune_cache::DmlKind;
+use snowprune_core::filter::{FilterPruneConfig, FilterPruner};
 use snowprune_expr::kernel::select_range;
-use snowprune_expr::{eval_value, prune_eval, Expr};
+use snowprune_expr::{eval_value, Expr};
 use snowprune_storage::{DmlResult, MicroPartition, PartitionEdit, Table};
 use snowprune_types::{MatchClass, Result, SelVec, Value};
 
@@ -32,25 +30,21 @@ use crate::session::Session;
 /// every row). Errors, before any write, when the predicate names a
 /// column the table does not have.
 pub fn delete_where(table: &mut Table, predicate: Option<&Expr>) -> Result<DmlResult> {
-    check_columns(
-        table,
-        predicate.into_iter().flat_map(Expr::referenced_columns),
-    )?;
-    Ok(table.rewrite_partitions(|p| {
-        let sel = select(predicate, p);
+    let cols = predicate.into_iter().flat_map(Expr::referenced_columns);
+    check_columns(table, cols)?;
+    let mut select = selector(table, predicate);
+    table.rewrite_partitions(|p| {
+        let sel = select(p);
         if sel.is_empty() {
-            return PartitionEdit::Keep;
+            return Ok(PartitionEdit::Keep);
         }
-        let mut picked = sel.iter().peekable();
+        let (mut picked, affected) = (sel.iter().peekable(), sel.len() as u64);
         let rows = (0..p.row_count())
             .filter(|&i| picked.next_if_eq(&i).is_none())
             .map(|i| p.row(i))
             .collect();
-        PartitionEdit::Rewrite {
-            rows,
-            affected: sel.len() as u64,
-        }
-    }))
+        Ok(PartitionEdit::Rewrite { rows, affected })
+    })
 }
 
 /// `UPDATE table SET sets [WHERE predicate]` on a table. Each assignment
@@ -65,16 +59,14 @@ pub fn update_where(
     predicate: Option<&Expr>,
 ) -> Result<(DmlResult, Vec<String>)> {
     let read = sets.iter().map(|(_, e)| e).chain(predicate);
-    let targets = sets.iter().map(|(c, _)| *c);
-    check_columns(
-        table,
-        read.flat_map(Expr::referenced_columns).chain(targets),
-    )?;
+    let cols = read.flat_map(Expr::referenced_columns);
+    check_columns(table, cols.chain(sets.iter().map(|(c, _)| *c)))?;
     let mut col_changed = vec![false; table.schema().len()];
+    let mut select = selector(table, predicate);
     let res = table.rewrite_partitions(|p| {
         // The selected rows that change, with their new values.
         let mut changed: Vec<(usize, Vec<Value>)> = Vec::new();
-        for i in &select(predicate, p) {
+        for i in &select(p) {
             let old = p.row(i);
             let mut new = old.clone();
             for (c, e) in sets {
@@ -92,32 +84,41 @@ pub fn update_where(
             }
         }
         if changed.is_empty() {
-            return PartitionEdit::Keep;
+            return Ok(PartitionEdit::Keep);
         }
-        let affected = changed.len() as u64;
-        let mut changed = changed.into_iter().peekable();
+        let (affected, mut changed) = (changed.len() as u64, changed.into_iter().peekable());
         let rows = (0..p.row_count())
             .map(|i| match changed.next_if(|(j, _)| *j == i) {
                 Some((_, new)) => new,
                 None => p.row(i),
             })
             .collect();
-        PartitionEdit::Rewrite { rows, affected }
-    });
+        Ok(PartitionEdit::Rewrite { rows, affected })
+    })?;
     Ok((res, table.schema().names_where(&col_changed)))
 }
 
-/// The rows of `p` the DML `WHERE` selects, decided from the zone maps
-/// where §4.1 allows and by the kernels otherwise.
-fn select(predicate: Option<&Expr>, p: &MicroPartition) -> SelVec {
-    let all = SelVec::All(0..p.row_count());
-    let Some(pred) = predicate else {
-        return all;
+/// The rows the DML `WHERE` selects in each partition, visited in table
+/// order: the class filter pruning compiles, the kernels where partial.
+fn selector<'a>(
+    table: &Table,
+    predicate: Option<&'a Expr>,
+) -> impl FnMut(&MicroPartition) -> SelVec + 'a {
+    let cfg = FilterPruneConfig {
+        cutoff: false, // and the budget stays unbounded
+        ..FilterPruneConfig::default()
     };
-    match prune_eval(pred, &p.meta.zone_maps).classify(p.meta.row_count) {
-        MatchClass::NotMatching => SelVec::empty(),
-        MatchClass::FullyMatching => all,
-        MatchClass::PartiallyMatching => select_range(pred, p, 0, p.row_count()),
+    let mut kept = predicate
+        .map(|pred| FilterPruner::new(pred, cfg).prune(&table.metadata_view()))
+        .map_or_else(Vec::new, |res| res.scan_set.entries)
+        .into_iter()
+        .peekable();
+    move |p| match (predicate, kept.next_if(|e| e.id == p.meta.id)) {
+        (Some(pred), Some(e)) if e.class == MatchClass::PartiallyMatching => {
+            select_range(pred, p, 0, p.row_count())
+        }
+        (Some(_), None) => SelVec::empty(),
+        _ => SelVec::All(0..p.row_count()),
     }
 }
 
@@ -140,9 +141,8 @@ impl Session {
     }
 
     /// UPDATE `table` with `sets` on the rows matching `predicate` (every
-    /// row when `None`), partition-locally (see [`crate::dml`]). The cache
-    /// is told the *measured* changed-column set, like
-    /// [`Session::update_rows`].
+    /// row when `None`), partition-locally (see [`crate::dml`]), telling the
+    /// cache the *measured* changed-column set like [`Session::update_rows`].
     pub fn update_where(
         &self,
         table: &str,

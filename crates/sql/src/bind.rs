@@ -15,10 +15,11 @@
 //! statement's source span attached so the REPL can render carets for
 //! them too.
 
+use snowprune_analyze::typecheck::{infer, Ty};
 use snowprune_expr::{dsl, Expr};
 use snowprune_plan::{AggFunc, JoinType, Plan, PlanBuilder, SortKey};
 use snowprune_storage::{Catalog, Schema};
-use snowprune_types::{DiagCode, Diagnostic, Error, Result, Span, Value};
+use snowprune_types::{DiagCode, Diagnostic, Error, Result, ScalarType, Span, Value};
 
 use crate::ast::{
     AggCall, AggName, ColumnName, Name, SelectItem, SelectStmt, SqlExpr, SqlExprKind, Stmt,
@@ -107,7 +108,9 @@ pub fn bind(stmt: &Stmt, catalog: &Catalog) -> Result<Statement> {
                         col.span,
                     )
                 })?;
-                bound_sets.push((idx, scope.lower_bound(e, &schema)?));
+                let value = scope.lower(e, &mut 0)?;
+                check_assignable(&value, e.span, &schema, idx)?;
+                bound_sets.push((idx, value.bind(&schema)?));
             }
             let predicate = selection
                 .as_ref()
@@ -159,8 +162,9 @@ fn bind_insert(table: &Name, rows: &[Vec<SqlExpr>], catalog: &Catalog) -> Result
             ));
         }
         let mut vals = Vec::with_capacity(row.len());
-        for e in row {
+        for (idx, e) in row.iter().enumerate() {
             let expr = scope.lower(e, &mut 0)?;
+            check_assignable(&expr, e.span, &schema, idx)?;
             vals.push(snowprune_expr::eval_value(&expr, &[]));
         }
         out.push(vals);
@@ -169,6 +173,40 @@ fn bind_insert(table: &Name, rows: &[Vec<SqlExpr>], catalog: &Catalog) -> Result
         table: name,
         rows: out,
     })
+}
+
+/// Refuse, with a caret under `span`, a write of `value` into column
+/// `idx` that the column cannot hold, before anything is written. A
+/// column stores its own type, NULL, or (a Float column) an Int: the pairs
+/// the storage column builder accepts. So `b / 2` into an Int column is
+/// refused, because division yields a Float, and so is a value whose type
+/// is known only row by row.
+fn check_assignable(value: &Expr, span: Span, schema: &Schema, idx: usize) -> Result<()> {
+    let field = schema.field(idx)?;
+    let mut diags = Vec::new();
+    let ty = infer(value, schema, "sql", &mut diags);
+    if let Some(d) = diags.into_iter().find(Diagnostic::is_error) {
+        return Err(Error::PlanRejected(vec![d.with_span(span)]));
+    }
+    let assignable = match ty {
+        Ty::Null => true,
+        Ty::Known(t) => t == field.ty || (t == ScalarType::Int && field.ty == ScalarType::Float),
+        Ty::Numeric => field.ty == ScalarType::Float,
+        Ty::Any => false,
+    };
+    if assignable {
+        return Ok(());
+    }
+    Err(reject(
+        DiagCode::AssignmentTypeMismatch,
+        format!(
+            "column `{}` is {} but the value is {}",
+            field.name,
+            field.ty,
+            ty.describe()
+        ),
+        span,
+    ))
 }
 
 /// Which side(s) of a (possibly joined) scope a lowered expression read.
@@ -734,5 +772,75 @@ mod tests {
             "{}",
             pretty(&plan)
         );
+    }
+
+    #[test]
+    fn mistyped_writes_are_refused_before_any_write() {
+        use crate::SessionSqlExt;
+        let session = Session::new(crate::demo_catalog(), ExecConfig::default());
+        let fact = || {
+            let t = session.catalog().get("fact").unwrap().read().clone();
+            let rows: Vec<Vec<Value>> = t
+                .partition_ids()
+                .into_iter()
+                .flat_map(|id| {
+                    let p = t.partition(id).unwrap();
+                    (0..p.row_count()).map(|i| p.row(i)).collect::<Vec<_>>()
+                })
+                .collect();
+            (t.version(), t.partition_ids(), rows)
+        };
+        let before = fact();
+        // fact(a BIGINT, b BIGINT, c VARCHAR).
+        for sql in [
+            "UPDATE fact SET b = b / 2 WHERE a = 1",
+            "UPDATE fact SET b = 'x' WHERE a = 1",
+            "UPDATE fact SET c = 1",
+            "UPDATE fact SET b = a > 3",
+            "INSERT INTO fact VALUES (1, 2.5, 'x')",
+            "INSERT INTO fact VALUES ('z', 2, 'x')",
+        ] {
+            match session.run_sql(sql) {
+                Err(Error::PlanRejected(ds)) => {
+                    assert_eq!(ds.len(), 1, "{sql}");
+                    assert_eq!(ds[0].code, DiagCode::AssignmentTypeMismatch, "{sql}");
+                    assert!(ds[0].span.is_some(), "{sql}: a caret needs a span");
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+            assert!(fact() == before, "{sql} changed `fact`");
+        }
+        // NULL and the column's own type are assignable.
+        for sql in [
+            "UPDATE fact SET b = NULL WHERE a = 1",
+            "UPDATE fact SET b = b + 1, c = 'y' WHERE a = 2",
+            "INSERT INTO fact VALUES (5000, NULL, 'z')",
+        ] {
+            session.run_sql(sql).expect(sql);
+        }
+    }
+
+    #[test]
+    fn an_int_is_assignable_to_a_float_column_and_not_back() {
+        let catalog = Catalog::new();
+        let schema = Schema::new(vec![
+            Field::new("x", ScalarType::Int),
+            Field::new("f", ScalarType::Float),
+        ]);
+        catalog.register(TableBuilder::new("m", schema).build());
+        for ok in [
+            "UPDATE m SET f = x",
+            "UPDATE m SET f = x / 2",
+            "INSERT INTO m VALUES (1, 2)",
+        ] {
+            bind_sql(ok, &catalog).expect(ok);
+        }
+        for bad in ["UPDATE m SET x = f", "INSERT INTO m VALUES (1.5, 2)"] {
+            assert!(
+                matches!(bind_sql(bad, &catalog), Err(Error::PlanRejected(ds))
+                    if ds[0].code == DiagCode::AssignmentTypeMismatch),
+                "{bad}"
+            );
+        }
     }
 }

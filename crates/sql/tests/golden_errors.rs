@@ -157,3 +157,13 @@ fn insert_arity_mismatch() {
          ^",
     );
 }
+
+#[test]
+fn mistyped_update_points_at_the_value() {
+    check(
+        "UPDATE fact SET b = b / 2 WHERE a = 1",
+        "error[assignment-type-mismatch] at 1:21: column `b` is BIGINT but the value is DOUBLE\n  \
+         UPDATE fact SET b = b / 2 WHERE a = 1\n                      \
+         ^^^^^",
+    );
+}

@@ -88,8 +88,10 @@ pub enum ColumnValues {
     Int(Vec<i64>),
     /// 64-bit floats.
     Float(Vec<f64>),
-    /// UTF-8 strings, dictionary-encoded.
-    Str(StrColumn),
+    /// UTF-8 strings, dictionary-encoded. Boxed, so that a chunk of any
+    /// type stays 64 bytes: the dictionary's two vectors inline would
+    /// grow every [`ColumnChunk`] by 16.
+    Str(Box<StrColumn>),
     /// Dates as days since the epoch.
     Date(Vec<i32>),
     /// Timestamps as microseconds since the epoch.
@@ -131,10 +133,10 @@ impl ColumnValues {
             ScalarType::Bool => ColumnValues::Bool(Vec::with_capacity(rows)),
             ScalarType::Int => ColumnValues::Int(Vec::with_capacity(rows)),
             ScalarType::Float => ColumnValues::Float(Vec::with_capacity(rows)),
-            ScalarType::Str => ColumnValues::Str(StrColumn {
+            ScalarType::Str => ColumnValues::Str(Box::new(StrColumn {
                 dict: Vec::new(),
                 codes: Vec::with_capacity(rows),
-            }),
+            })),
             ScalarType::Date => ColumnValues::Date(Vec::with_capacity(rows)),
             ScalarType::Timestamp => ColumnValues::Timestamp(Vec::with_capacity(rows)),
         }
@@ -501,6 +503,15 @@ mod tests {
         f.push(Value::Float(0.5));
         let chunk = f.finish();
         assert!(matches!(chunk.values(), ColumnValues::Float(v) if v[..] == [0.5]));
+    }
+
+    #[test]
+    fn chunk_is_64_bytes() {
+        assert!(
+            std::mem::size_of::<ColumnChunk>() <= 64,
+            "{} bytes",
+            std::mem::size_of::<ColumnChunk>()
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub mod partition;
 pub mod prefetch;
 pub mod schema;
 pub mod table;
+pub mod zones;
 
 pub use catalog::{Catalog, TableRef};
 pub use column::{Bitmap, ColumnBuilder, ColumnChunk, ColumnValues, StrColumn};
@@ -26,3 +27,4 @@ pub use partition::{MicroPartition, PartitionId, PartitionMeta};
 pub use prefetch::{AsyncLake, LoadTicket};
 pub use schema::{Field, Schema};
 pub use table::{DmlResult, Layout, PartitionEdit, Table, TableBuilder};
+pub use zones::{IntZones, TableMetadata};

@@ -2,6 +2,7 @@
 //! for DML tracking (consumed by the predicate cache, §8.2).
 
 use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use snowprune_types::{Error, Result, Value, DEFAULT_STRING_PREFIX};
@@ -10,6 +11,7 @@ use crate::column::chunks_from_rows;
 use crate::io::{IoCostModel, IoStats};
 use crate::partition::{MicroPartition, PartitionId, PartitionMeta};
 use crate::schema::Schema;
+use crate::zones::{TableMetadata, ZoneColumns};
 
 /// How rows are laid out across micro-partitions at build time. The paper
 /// stresses (§1) that achievable pruning depends primarily on this layout.
@@ -97,6 +99,7 @@ impl TableBuilder {
         apply_layout(&mut rows, &schema, &layout);
         let mut table = Table {
             name,
+            zones: Arc::new(ZoneColumns::new(schema.len())),
             schema,
             partitions: Arc::default(),
             slots: Arc::default(),
@@ -155,17 +158,22 @@ const NO_SLOT: u32 = u32::MAX;
 /// report which partitions changed, which the predicate cache consumes.
 ///
 /// A table version is a list of immutable partitions (§2), so `clone()` is
-/// a *snapshot*: it shares the partition list and the id index with its
-/// source (two `Arc` bumps, whatever the partition count) and keeps seeing
-/// exactly those partitions; DML on either side copies the list on its
-/// first write and leaves the other untouched.
+/// a *snapshot*: it shares the partition list, the id index and the
+/// column-major zone maps with its source (three `Arc` bumps, whatever the
+/// partition count) and keeps seeing exactly those partitions; DML on
+/// either side copies the list on its first write and leaves the other
+/// untouched.
 #[derive(Clone, Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
     /// The current version's partitions in table order. **Not** sorted by
     /// id: a rewritten partition's new, higher id takes the old position.
+    /// Written only through [`Table::partitions_mut`].
     partitions: Arc<Vec<Arc<MicroPartition>>>,
+    /// The column-major zone maps of exactly `partitions`, built lazily
+    /// and shared by every snapshot of this version.
+    zones: Arc<ZoneColumns>,
     /// Partition id → position in `partitions`, one entry per id ever
     /// issued (`slots.len() == next_partition_id`; ids come from that
     /// counter, so the index is dense). Invariant: `slots[id] == pos`
@@ -250,10 +258,17 @@ impl Table {
 
     /// Read partition metadata through the metadata service, charging one
     /// metadata read per partition. The metadata itself is borrowed from
-    /// this snapshot — partitions are immutable, nothing is copied.
-    pub fn read_metadata(&self, io: &IoStats, model: &IoCostModel) -> Vec<&PartitionMeta> {
+    /// this snapshot — partitions are immutable, nothing is copied — and
+    /// comes with the version's column-major zone maps.
+    pub fn read_metadata(&self, io: &IoStats, model: &IoCostModel) -> TableMetadata<'_> {
         io.record_metadata_reads(self.partitions.len() as u64, model);
-        self.metadata()
+        self.metadata_view()
+    }
+
+    /// [`Table::read_metadata`] without I/O accounting, for a write, which
+    /// classifies the partitions it already holds.
+    pub fn metadata_view(&self) -> TableMetadata<'_> {
+        TableMetadata::new(self.metadata(), &self.schema, &self.zones)
     }
 
     /// Metadata access without I/O accounting (for tests and planning code
@@ -297,28 +312,43 @@ impl Table {
             .ok_or_else(|| Error::NotFound(format!("partition {id} of table {}", self.name)))
     }
 
+    /// The only `&mut` path to the partition list. Whoever takes it is
+    /// about to change the partitions, so it also swaps in a fresh, empty
+    /// zone-column cache: no write can leave stale bounds behind, and a
+    /// snapshot keeps the cache of its own version.
+    fn partitions_mut(&mut self) -> &mut Arc<Vec<Arc<MicroPartition>>> {
+        self.zones = Arc::new(ZoneColumns::new(self.schema.len()));
+        &mut self.partitions
+    }
+
+    /// Split `rows` into partitions under fresh ids drawn from `next_id`,
+    /// without touching the table.
+    fn build_partitions(&self, rows: &[Vec<Value>], next_id: &mut u64) -> Vec<Arc<MicroPartition>> {
+        rows.chunks(self.target_rows_per_partition)
+            .filter(|chunk| !chunk.is_empty())
+            .map(|chunk| {
+                let columns = chunks_from_rows(&self.schema, chunk);
+                let id = *next_id;
+                *next_id += 1;
+                Arc::new(MicroPartition::from_chunks_with_prefix(
+                    id,
+                    &self.schema,
+                    columns,
+                    self.string_prefix,
+                ))
+            })
+            .collect()
+    }
+
     fn append_partitions(&mut self, rows: Vec<Vec<Value>>) -> Vec<PartitionId> {
-        let mut added = Vec::new();
+        let mut next_id = self.next_partition_id;
+        let new = self.build_partitions(&rows, &mut next_id);
+        self.next_partition_id = next_id;
+        let added: Vec<PartitionId> = new.iter().map(|p| p.meta.id).collect();
         // Copy-on-write: a no-op unless a snapshot still shares the lists.
-        let partitions = Arc::make_mut(&mut self.partitions);
-        let slots = Arc::make_mut(&mut self.slots);
-        for chunk in rows.chunks(self.target_rows_per_partition) {
-            if chunk.is_empty() {
-                continue;
-            }
-            let columns = chunks_from_rows(&self.schema, chunk);
-            let id = self.next_partition_id;
-            self.next_partition_id += 1;
-            let p = MicroPartition::from_chunks_with_prefix(
-                id,
-                &self.schema,
-                columns,
-                self.string_prefix,
-            );
-            added.push(id);
-            slots.push(partitions.len() as u32);
-            partitions.push(Arc::new(p));
-        }
+        let start = self.partitions.len();
+        Arc::make_mut(&mut self.slots).extend((start..start + new.len()).map(|pos| pos as u32));
+        Arc::make_mut(self.partitions_mut()).extend(new);
         added
     }
 
@@ -395,7 +425,7 @@ impl Table {
     /// partition holding a row `f` drops or replaces is rewritten, and the
     /// rows `f` keeps are the ones already materialized for the visit.
     fn rewrite_rows(&mut self, mut f: impl FnMut(&[Value]) -> RowEdit) -> DmlResult {
-        self.rewrite_partitions(|p| {
+        let Ok(res) = self.rewrite_partitions(|p| {
             let mut rows = Vec::with_capacity(p.row_count());
             let mut affected = 0u64;
             for i in 0..p.row_count() {
@@ -409,12 +439,13 @@ impl Table {
                     RowEdit::Drop => affected += 1,
                 }
             }
-            if affected == 0 {
+            Ok::<_, Infallible>(if affected == 0 {
                 PartitionEdit::Keep
             } else {
                 PartitionEdit::Rewrite { rows, affected }
-            }
-        })
+            })
+        });
+        res
     }
 
     /// Copy-on-write DML, one partition at a time: `edit` sees every
@@ -424,35 +455,52 @@ impl Table {
     /// the row-closure DML above is an adapter over it, and a caller that
     /// can decide from a partition's metadata skips its rows entirely.
     /// The statement bumps the version even when nothing changed.
-    pub fn rewrite_partitions(
+    ///
+    /// Failure-atomic: every edit runs, and every replacement partition is
+    /// built, before the table changes. An `Err` from `edit` is returned
+    /// with the table, its version and its ids untouched, and so is a
+    /// panic unwinding out of `edit` or out of a partition build.
+    pub fn rewrite_partitions<E>(
         &mut self,
-        mut edit: impl FnMut(&MicroPartition) -> PartitionEdit,
-    ) -> DmlResult {
+        mut edit: impl FnMut(&MicroPartition) -> std::result::Result<PartitionEdit, E>,
+    ) -> std::result::Result<DmlResult, E> {
         let mut removed = Vec::new();
         let mut added = Vec::new();
         let mut affected = 0u64;
-        // Take the list over when no snapshot shares it, copy it otherwise.
-        let old = Arc::try_unwrap(std::mem::take(&mut self.partitions))
-            .unwrap_or_else(|shared| shared.to_vec());
-        Arc::make_mut(&mut self.partitions).reserve(old.len());
-        for p in old {
-            match edit(&p) {
-                PartitionEdit::Keep => Arc::make_mut(&mut self.partitions).push(p),
-                PartitionEdit::Rewrite { rows, affected: n } => {
-                    affected += n;
-                    removed.push(p.meta.id);
-                    added.extend(self.append_partitions(rows));
-                }
+        let mut next_id = self.next_partition_id;
+        // (position, replacements) per rewritten partition, in table order.
+        let mut rewrites = Vec::new();
+        for (pos, p) in self.partitions.iter().enumerate() {
+            if let PartitionEdit::Rewrite { rows, affected: n } = edit(p)? {
+                affected += n;
+                removed.push(p.meta.id);
+                let new = self.build_partitions(&rows, &mut next_id);
+                added.extend(new.iter().map(|p| p.meta.id));
+                rewrites.push((pos, new));
             }
         }
+        // Commit. Nothing below can fail: take the list over when no
+        // snapshot shares it, copy it otherwise, and splice.
+        self.next_partition_id = next_id;
+        let list = self.partitions_mut();
+        let old = Arc::try_unwrap(std::mem::take(list)).unwrap_or_else(|shared| shared.to_vec());
+        let mut new = Vec::with_capacity(old.len() + added.len() - removed.len());
+        let mut rewrites = rewrites.into_iter().peekable();
+        for (pos, p) in old.into_iter().enumerate() {
+            match rewrites.next_if(|(at, _)| *at == pos) {
+                Some((_, replacements)) => new.extend(replacements),
+                None => new.push(p),
+            }
+        }
+        *list = Arc::new(new);
         self.rebuild_slots();
         self.version += 1;
-        DmlResult {
+        Ok(DmlResult {
             rows_affected: affected,
             partitions_added: added,
             partitions_removed: removed,
             new_version: self.version,
-        }
+        })
     }
 }
 
@@ -460,6 +508,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::Field;
+    use crate::zones::IntZones;
     use snowprune_types::ScalarType;
 
     fn build(layout: Layout, per_part: usize) -> Table {
@@ -686,6 +735,93 @@ mod tests {
         assert_eq!(source.partition_count() + 1, copy.partition_count());
         assert!(source.partition(10).is_err());
         assert!(copy.partition(10).is_ok());
+    }
+
+    /// Rows, version and ids: everything a failed write must leave alone.
+    fn state(t: &Table) -> (Vec<Vec<Value>>, u64, Vec<PartitionId>, u64) {
+        let rows = t
+            .partition_ids()
+            .into_iter()
+            .flat_map(|id| {
+                let p = t.partition(id).unwrap();
+                (0..p.row_count()).map(|i| p.row(i)).collect::<Vec<_>>()
+            })
+            .collect();
+        (rows, t.version(), t.partition_ids(), t.total_rows())
+    }
+
+    /// An edit that empties every partition it sees, and fails, panics or
+    /// hands back a mistyped row on the `k`-th.
+    fn edit_failing_at(
+        k: usize,
+        how: &'static str,
+    ) -> impl FnMut(&MicroPartition) -> Result<PartitionEdit> {
+        let mut seen = 0;
+        move |p| {
+            seen += 1;
+            if seen == k {
+                match how {
+                    "err" => return Err(Error::Invalid("edit failed".into())),
+                    "panic" => panic!("edit panicked"),
+                    _ => {
+                        let rows = vec![vec![Value::Str("k".into()), Value::Int(1)]];
+                        return Ok(PartitionEdit::Rewrite { rows, affected: 1 });
+                    }
+                }
+            }
+            Ok(PartitionEdit::Rewrite {
+                rows: Vec::new(),
+                affected: p.row_count() as u64,
+            })
+        }
+    }
+
+    #[test]
+    fn a_failing_edit_leaves_the_table_unchanged() {
+        let mut t = build(Layout::ClusterBy(vec!["k".into()]), 10);
+        let before = state(&t);
+        let res = t.rewrite_partitions(edit_failing_at(7, "err"));
+        assert!(matches!(res, Err(Error::Invalid(_))));
+        assert_eq!(state(&t), before);
+        // The ids it would have issued were not spent.
+        let res = t.insert_rows(vec![vec![Value::Int(1), Value::Str("x".into())]]);
+        assert_eq!(res.partitions_added, vec![10]);
+    }
+
+    #[test]
+    fn a_panicking_edit_or_build_leaves_the_table_unchanged() {
+        for how in ["panic", "mistyped"] {
+            let mut t = build(Layout::ClusterBy(vec!["k".into()]), 10);
+            let before = state(&t);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.rewrite_partitions(edit_failing_at(6, how))
+            }));
+            assert!(unwound.is_err(), "{how}");
+            assert_eq!(state(&t), before, "{how}");
+        }
+    }
+
+    #[test]
+    fn zone_columns_are_shared_by_snapshots_and_dropped_by_writes() {
+        let mut live = build(Layout::ClusterBy(vec!["k".into()]), 25);
+        let snap = live.clone();
+        let zones = |t: &Table| {
+            let m = t.metadata_view();
+            let z = m.int_zones(0).unwrap();
+            (z as *const IntZones, z.maxs().to_vec())
+        };
+        let (built, maxs) = zones(&live);
+        assert_eq!(maxs, vec![22, 47, 72, 97]);
+        // Built once, shared by the snapshot; a string column stays untyped.
+        assert_eq!(zones(&snap).0, built);
+        assert!(live.metadata_view().int_zones(1).is_none());
+        assert_eq!(live.metadata_view().row_counts(), &[25, 25, 25, 25][..]);
+        live.update_rows(|row| match row[0] {
+            Value::Int(97) => vec![Value::Int(500), row[1].clone()],
+            _ => row.to_vec(),
+        });
+        assert_eq!(zones(&live).1, vec![22, 47, 72, 500]);
+        assert_eq!(zones(&snap), (built, maxs));
     }
 
     #[test]

@@ -137,6 +137,10 @@ pub enum DiagCode {
     /// Syntactically valid SQL using a feature the front-end does not
     /// lower (e.g. a SELECT list the plan IR cannot express).
     SqlUnsupported,
+    /// An INSERT value or SET expression whose type the target column
+    /// cannot hold: a column stores its own type, NULL, or (a Float
+    /// column) an Int.
+    AssignmentTypeMismatch,
 }
 
 impl DiagCode {
@@ -161,6 +165,7 @@ impl DiagCode {
             DiagCode::UnknownTable => "unknown-table",
             DiagCode::AmbiguousColumn => "ambiguous-column",
             DiagCode::SqlUnsupported => "sql-unsupported",
+            DiagCode::AssignmentTypeMismatch => "assignment-type-mismatch",
         }
     }
 }

@@ -55,6 +55,7 @@ fn lint() -> ExitCode {
     lint_no_linear_id_search(&root, &mut violations);
     lint_no_clock(&root, &mut violations);
     lint_pub_fn_callers(&root, &mut violations);
+    lint_one_classifier(&root, &mut violations);
     if violations.is_empty() {
         println!("xtask lint: ok");
         ExitCode::SUCCESS
@@ -545,6 +546,45 @@ fn has_ident(code: &str, name: &str) -> bool {
     })
 }
 
+/// Lint 8: one zone-map classifier. Non-test code under `crates/*/src`
+/// classifies partitions through `FilterPruner` (compile-time pruning,
+/// the runtime re-check and DML share its block walk and typed kernels),
+/// never by calling `prune_eval` itself. Exempt: `crates/expr/src`, where
+/// `prune_eval` lives, and `crates/core/src/filter.rs`, the classifier.
+fn lint_one_classifier(root: &Path, violations: &mut Vec<String>) {
+    for file in rust_files(&root.join("crates")) {
+        prune_eval_calls(&rel(root, &file), &read(&file), violations);
+    }
+}
+
+/// Lint 8 for one file `src` at repo-relative path `p`.
+fn prune_eval_calls(p: &str, src: &str, violations: &mut Vec<String>) {
+    let in_src = p.split('/').nth(2) == Some("src");
+    if !in_src || p.starts_with("crates/expr/src/") || p == "crates/core/src/filter.rs" {
+        return;
+    }
+    let mask = test_region_mask(src);
+    for (i, line) in src.lines().enumerate() {
+        if mask.get(i).copied().unwrap_or(false) {
+            continue;
+        }
+        let code = strip_comment(line);
+        let call = code.match_indices("prune_eval").any(|(at, name)| {
+            let before = code[..at].chars().next_back();
+            let after = code[at + name.len()..].trim_start();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_') && after.starts_with('(')
+        });
+        if call {
+            violations.push(format!(
+                "{}:{}: `prune_eval(` outside the classifier; classify partitions through \
+                 `FilterPruner` (crates/core/src/filter.rs)",
+                p,
+                i + 1
+            ));
+        }
+    }
+}
+
 /// Lint 7: every `pub fn` in `crates/*/src` has a caller outside test
 /// code. Callers are read from the product trees and from `benchmark/src`
 /// (which is read, not linted); `tests/` directories do not count.
@@ -852,6 +892,36 @@ mod tests {
     }
 
     #[test]
+    fn classifier_rule_flags_a_direct_prune_eval_call() {
+        let planted = "use snowprune_expr::prune_eval;\nfn f() {\n    \
+                       let v = prune_eval(pred, &p.meta.zone_maps);\n}\n";
+        let mut v = Vec::new();
+        prune_eval_calls("crates/exec/src/dml.rs", planted, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("crates/exec/src/dml.rs:3:"), "{v:?}");
+        v.clear();
+        // The classifier, prune_eval's own crate, test code, integration
+        // tests, comments, and other identifiers all pass.
+        for (p, ok) in [
+            ("crates/core/src/filter.rs", planted),
+            ("crates/expr/src/pruneval.rs", planted),
+            (
+                "crates/exec/src/scan.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t() { prune_eval(e, m); }\n}\n",
+            ),
+            ("crates/core/tests/prop.rs", planted),
+            (
+                "crates/exec/src/dml.rs",
+                "// classified as prune_eval(pred) would\n",
+            ),
+            ("crates/exec/src/a.rs", "let x = my_prune_eval(e);\n"),
+        ] {
+            prune_eval_calls(p, ok, &mut v);
+            assert!(v.is_empty(), "{p}: {v:?}");
+        }
+    }
+
+    #[test]
     fn full_lint_run_on_this_repo_is_clean() {
         let root = repo_root();
         if !root.join("Cargo.toml").is_file() {
@@ -866,6 +936,7 @@ mod tests {
         lint_no_linear_id_search(&root, &mut violations);
         lint_no_clock(&root, &mut violations);
         lint_pub_fn_callers(&root, &mut violations);
+        lint_one_classifier(&root, &mut violations);
         let mut msg = String::new();
         for v in &violations {
             let _ = writeln!(msg, "{v}");
